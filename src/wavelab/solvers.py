@@ -13,20 +13,28 @@ lost n.  The reported witness is the lexicographically least optimum: the
 search visits subsets in lexicographic order and no cut ever removes a
 subset that could still strictly beat the incumbent.
 
-For the two patterns of length 2 the completion rule has a closed shape
-(every admissible next element doubles the current span, upward for 2,1 and
-mirrored for 1,2), which yields an exact bound on how many elements can
-still be added; with it the certification tree for n up to a few hundred
-collapses to a few thousand nodes.  Longer patterns use a precomputed table
-of waves, grouped by second-largest point, to filter the candidate list in
-one pass per inclusion; the plain remaining-count bound alone is hopeless
-at these sizes.
+Which candidates would complete a wave is answered by one kernel,
+``_prefix_completions``: for a point e it lists every k-point prefix
+w_1 < ... < w_{k-1} < e whose gaps relate as pi(1..k-1) do, together with
+the bitmask of the final points x > e that complete it to a wave.  Those
+are exactly the points whose last gap x - e lies between the largest
+prefix gap with a smaller pi-value and the smallest with a larger one (open
+interval in strict mode, closed in weak mode), so each prefix costs one
+mask whatever the universe.  Including e ORs the masks of the prefixes
+already inside the chosen set into the branch's forbidden-candidate mask.
+For the two patterns of length 2 the completion rule also has a closed
+shape (every admissible next element doubles the current span, upward for
+2,1 and mirrored for 1,2), which yields an exact bound on how many elements
+can still be added; with it the certification tree for n up to a few
+hundred collapses to a few thousand nodes.
 
 ``exact_P(pi, r)`` is the least M such that every r-coloring of [M] holds a
 monochromatic wave: M is raised until backtracking (point 1 gets color 1,
 color c+1 may first appear only after color c) finds no wave-free coloring.
-The value is certified by exhaustion, never extrapolated; the extremal
-coloring of [M-1] is the first one in canonical backtracking order.
+A point may take a color unless one of the waves ending at it, listed once
+per point, has all its other points in that color class.  The value is
+certified by exhaustion, never extrapolated; the extremal coloring of
+[M-1] is the first one in canonical backtracking order.
 
 Both searches honor a node budget and report a structured lower-bound
 result instead of a wrong answer when it runs out.
@@ -50,27 +58,15 @@ __all__ = [
     "exact_P",
     "recursive_upper_bound_g",
     "DEFAULT_NODE_BUDGET",
-    "MASK_TABLE_CAP",
     "SINGLE_REMOVAL_FACTOR",
     "PAIR_REMOVAL_FACTOR",
-    "SINGLE_REMOVAL_FACTOR_SAFE",
 ]
 
 DEFAULT_NODE_BUDGET = 10**8
 
-# Universes up to this size get a precomputed wave table; beyond it the
-# engine falls back to per-candidate completion search.  The cap shrinks
-# for longer patterns so table construction (which the node budget does not
-# meter) stays bounded by TABLE_ENTRY_LIMIT candidate tuples.
-MASK_TABLE_CAP = 64
-TABLE_ENTRY_LIMIT = 500_000
-
-# Per-removal log factors of the two recursive upper-bound rules.  The
-# single-removal recursion also supports a lazier overall constant of 100
-# per step; the evaluator uses the sharp value.
+# Per-removal log factors of the two recursive upper-bound rules.
 SINGLE_REMOVAL_FACTOR = 30
 PAIR_REMOVAL_FACTOR = 42
-SINGLE_REMOVAL_FACTOR_SAFE = 100
 
 
 @dataclass(frozen=True)
@@ -169,9 +165,12 @@ class _Budget:
         self.spent = 0
 
     def charge(self) -> bool:
+        """Spend one node; False, spending nothing, once the budget is gone."""
+        if self.left <= 0:
+            return False
         self.spent += 1
         self.left -= 1
-        return self.left >= 0
+        return True
 
 
 def _ext_doubling_up(m1: int, z: int, n: int) -> int:
@@ -201,71 +200,71 @@ def _ext_doubling_down(z: int, cap: int) -> int:
     return span.bit_length() if span >= 1 else 0
 
 
+def _prefix_completions(
+    vals: tuple[int, ...], e: int, strict: bool
+) -> list[tuple[int, int]]:
+    """Every order-compatible prefix ending at e, as (rest, completion) masks.
+
+    A prefix is w_1 < ... < w_{k-1} < e whose gaps relate pairwise as
+    vals[:k-1] do; ``rest`` has the bits of the w's.  ``completion`` has the
+    bit of every x > e such that prefix + (x,) is a wave: its last gap lies
+    strictly (strict mode) or weakly (weak mode) between ``lo``, the largest
+    prefix gap whose value is below vals[-1], and ``hi``, the smallest whose
+    value is above it.  With no ``hi`` the mask is negative, i.e. it runs on
+    forever, so it never depends on the universe.  Prefixes no point
+    completes are left out.  For 2,1 at e = 4, (3, 4) has no completion,
+    (2, 4) completes at 5 and (1, 4) at 5 or 6:
+
+    >>> [(bin(r), bin(c)) for r, c in _prefix_completions((2, 1), 4, True)]
+    [('0b100', '0b100000'), ('0b10', '0b1100000')]
+    """
+    k = len(vals)
+    top = vals[-1]
+    below = [j for j in range(k - 1) if vals[j] < top]
+    above = [j for j in range(k - 1) if vals[j] > top]
+    gaps = [0] * (k - 1)
+    out: list[tuple[int, int]] = []
+
+    def down(i: int, upper: int, rest: int) -> None:
+        if i < 0:
+            lo = max((gaps[j] for j in below), default=0)
+            hi = min((gaps[j] for j in above), default=None)
+            first = e + lo + 1 if strict else e + max(lo, 1)
+            if hi is None:
+                out.append((rest, -(1 << first)))
+            else:
+                last = e + hi - 1 if strict else e + hi
+                if last >= first:
+                    out.append((rest, (1 << last + 1) - (1 << first)))
+            return
+        # gap i runs from w_{i+1} up to upper; w_{i+1} >= i + 1 leaves room below
+        for w in range(upper - 1, i, -1):
+            d = upper - w
+            if all(
+                _gap_pair_ok(vals[i], vals[j], d, gaps[j], strict)
+                for j in range(i + 1, k - 1)
+            ):
+                gaps[i] = d
+                down(i - 1, w, rest | 1 << w)
+
+    down(k - 2, e, 0)
+    return out
+
+
 class _GEngine:
     """Incremental exact-g solver for one (pattern, mode) pair."""
 
     def __init__(self, pi: Permutation, mode: Mode):
         self.pi = pi
         self.mode: Mode = mode
-        self.k = len(pi)
         self.strict = mode == "strict"
-        self.pred = wave_predicate(mode)
         self.g: list[int] = [0]
         self.witnesses: list[tuple[int, ...]] = [()]
-        # waves grouped by second-largest point: by_second[z] = [(rest_mask, max)]
-        self.by_second: list[list[tuple[int, int]]] = [[], []]
-        self.table_n = 1
-        cap = MASK_TABLE_CAP
-        while cap > 1 and math.comb(cap, self.k + 1) > TABLE_ENTRY_LIMIT:
-            cap -= 1
-        self.mask_cap = cap
+        # tables[e]: _prefix_completions of e, built when the search reaches e
+        self.tables: dict[int, list[tuple[int, int]]] = {}
         self.desc2 = self.strict and pi.values == (2, 1)
         self.asc2 = self.strict and pi.values == (1, 2)
         self.lock = threading.Lock()
-
-    def _extend_table(self, n: int) -> None:
-        k = self.k
-        while self.table_n < n:
-            m = self.table_n + 1
-            self.by_second.append([])
-            if k == 1:
-                for z in range(1, m):
-                    self.by_second[z].append((0, m))
-            else:
-                for combo in itertools.combinations(range(1, m), k):
-                    if self.pred(combo + (m,), self.pi):
-                        rest = 0
-                        for p in combo[:-1]:
-                            rest |= 1 << p
-                        self.by_second[combo[-1]].append((rest, m))
-            self.table_n = m
-
-    def _completes_pinned(self, cold: list[int], z: int, e: int) -> bool:
-        """Is there a wave (w_1..w_{k-1}, z, e) with the w's drawn from cold?"""
-        k = self.k
-        if k == 1:
-            return True
-        vals = self.pi.values
-        strict = self.strict
-        diffs = [0] * (k + 1)  # 1-indexed gap slots
-        diffs[k] = e - z
-
-        def down(pos: int, upper: int, hi: int) -> bool:
-            for t in range(hi - 1, -1, -1):
-                c = cold[t]
-                if c >= upper:
-                    continue
-                d = upper - c
-                if all(
-                    _gap_pair_ok(vals[pos - 1], vals[j - 1], d, diffs[j], strict)
-                    for j in range(pos + 1, k + 1)
-                ):
-                    diffs[pos] = d
-                    if pos == 1 or down(pos - 1, c, t):
-                        return True
-            return False
-
-        return down(k - 1, z, len(cold))
 
     def ensure(self, n: int, budget: _Budget) -> None:
         with self.lock:
@@ -275,11 +274,7 @@ class _GEngine:
     def _solve_next(self, budget: _Budget) -> None:
         n = len(self.g)
         g = self.g
-        k = self.k
-        use_table = n <= self.mask_cap
-        if use_table:
-            self._extend_table(n)
-        by_second = self.by_second
+        tables = self.tables
         incumbent = g[n - 1] - 1
         anchored_floor = g[n - 1]
         best: tuple[int, ...] = ()
@@ -317,20 +312,14 @@ class _GEngine:
                 if csize + 1 > incumbent:
                     incumbent = csize + 1
                     best = tuple(celems)
-                if k == 1:
-                    newcands: list[int] = []
-                elif use_table:
-                    dead = {
-                        mx for rest, mx in by_second[e] if rest & cmask == rest
-                    }
-                    newcands = [x for x in cands[i + 1 :] if x not in dead]
-                else:
-                    cold = celems[:-1]
-                    newcands = [
-                        x
-                        for x in cands[i + 1 :]
-                        if not self._completes_pinned(cold, e, x)
-                    ]
+                table = tables.get(e)
+                if table is None:
+                    table = tables[e] = _prefix_completions(self.pi.values, e, self.strict)
+                dead = 0
+                for rest, completion in table:
+                    if rest & cmask == rest:
+                        dead |= completion
+                newcands = [x for x in cands[i + 1 :] if not dead >> x & 1]
                 if newcands and not (
                     incumbent >= anchored_floor and newcands[-1] != n
                 ):

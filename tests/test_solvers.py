@@ -1,11 +1,12 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import S2, S3, all_patterns, naive_is_wave, oracle_g, oracle_p
 from wavelab import Coloring, Permutation, exact_P, exact_g, recursive_upper_bound_g, reverse
-from wavelab.solvers import _reset_caches
-import wavelab.solvers
+from wavelab.solvers import _prefix_completions
 
 
 def P(text):
@@ -71,7 +72,7 @@ class TestExactG:
             assert exact_g(P("2,1"), n).value == math.floor(math.log2(n - 1)) + 2
 
     def test_length_two_patterns_beyond_table_cap(self):
-        # n > 64 exercises the tableless path with the doubling-span bounds
+        # large universes with the doubling-span bounds
         from wavelab import find_wave
 
         for n in (100, 200):
@@ -112,29 +113,40 @@ class TestExactG:
             t.join()
         assert len(set(results.values())) == 1
 
-    def test_fallback_engine_matches_table_engine(self, monkeypatch):
-        # force the no-table code path (incl. the length-2 doubling bounds)
-        # and require identical values *and* witnesses
-        reference = {}
-        for pi in (P("2,1"), P("1,2"), P("3,2,1"), P("1,3,2")):
-            for n in range(1, 31 if len(pi) == 2 else 15):
-                r = exact_g(pi, n)
-                reference[(pi.values, n)] = (r.value, r.witness.elements)
-        monkeypatch.setattr(wavelab.solvers, "MASK_TABLE_CAP", 0)
-        _reset_caches()
-        try:
-            for (vals, n), want in reference.items():
+    # Lex-least optimal witnesses for n = 1, 2, ..., recorded from the engine
+    # that filtered with a precomputed wave table up to universe 64 and with
+    # pinned completion search beyond it.
+    SEED_WITNESSES = {
+        (2, 1): ["1", "1,2", "1,2,3", "1,2,3"] + ["1,2,3,5"] * 4 + ["1,2,3,5,9"] * 8
+        + ["1,2,3,5,9,17"] * 14,
+        (1, 2): ["1", "1,2", "1,2,3", "1,2,3"] + ["1,3,4,5"] * 4 + ["1,5,7,8,9"] * 8
+        + ["1,9,13,15,16,17"] * 14,
+        (3, 2, 1): ["1", "1,2", "1,2,3", "1,2,3,4", "1,2,3,4,5"] + ["1,2,3,4,5,6"] * 2
+        + ["1,2,3,4,5,6,8"] * 3 + ["1,2,3,4,5,6,8,11"] * 2
+        + ["1,2,3,4,5,6,11,12,13", "1,2,3,4,5,6,8,11,14"],
+        (1, 3, 2): ["1", "1,2", "1,2,3", "1,2,3,4", "1,2,3,4,5"] + ["1,2,3,4,5,6"] * 2
+        + ["1,3,4,5,6,7,8", "1,2,3,4,5,8,9", "1,2,3,4,5,6,10"] + ["1,2,3,4,5,6,10,11"] * 3
+        + ["1,3,4,5,6,7,8,13,14"],
+    }
+
+    def test_matches_recorded_seed_engine(self):
+        for vals, witnesses in self.SEED_WITNESSES.items():
+            for n, text in enumerate(witnesses, start=1):
+                want = tuple(int(x) for x in text.split(","))
                 r = exact_g(Permutation(vals), n)
-                assert (r.value, r.witness.elements) == want, (vals, n)
-        finally:
-            _reset_caches()
+                assert (r.value, r.witness.elements) == (len(want), want), (vals, n)
+
+    def test_length_two_closed_form_across_64(self):
+        for pat in ("2,1", "1,2"):
+            for n in range(60, 101):
+                assert exact_g(P(pat), n).value == math.floor(math.log2(n - 1)) + 2, (pat, n)
 
     def test_budget_exhaustion_degrades_gracefully(self):
         from wavelab import find_wave
 
         pi = P("2,1,4,3")  # pattern no other test warms up
         res = exact_g(pi, 25, node_budget=10)
-        assert res.status == "lower-bound"
+        assert res.status == "lower-bound" and res.nodes == 10
         assert res.value == len(res.witness)
         if len(res.witness):
             assert find_wave(res.witness, pi) is None
@@ -196,15 +208,50 @@ class TestExactP:
 
     def test_budget_exhaustion_degrades_gracefully(self):
         res = exact_P(P("2,1"), 3, node_budget=40)
-        assert res.status == "lower-bound"
+        assert res.status == "lower-bound" and res.nodes == 40
         assert res.value == res.extremal.domain_size + 1
         from wavelab import verify_coloring_wave_free
 
         assert verify_coloring_wave_free(res.extremal, P("2,1"))
+        # a deep search spends exactly its budget, however many frames unwind
+        deep = exact_P(P("1,3,2"), 3, node_budget=10**4)
+        assert deep.status == "lower-bound" and deep.nodes == 10**4
+
+    def test_budget_bounds_long_pattern(self):
+        res = exact_P(P("1,2,3,4,5"), 2, node_budget=10**4)
+        assert res.status == "lower-bound"
+        assert res.value >= 37 and res.nodes <= 10**4
 
     def test_validation(self):
         with pytest.raises(ValueError):
             exact_P(P("2,1"), 0)
+
+
+class TestPrefixCompletions:
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda k: st.permutations(list(range(1, k + 1)))
+        ),
+        st.booleans(),
+        st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, vals, weak, e):
+        pi = Permutation(tuple(vals))
+        k = len(vals)
+        top = 2 * e + 2  # every non-empty completion starts at or below 2e
+        want = {}
+        for ws in itertools.combinations(range(1, e), k - 1):
+            mask = 0
+            for x in range(e + 1, top + 1):
+                if naive_is_wave(ws + (e, x), pi, weak):
+                    mask |= 1 << x
+            if mask:
+                want[sum(1 << w for w in ws)] = mask
+        got = _prefix_completions(pi.values, e, not weak)
+        window = (1 << top + 1) - 1
+        assert len({rest for rest, _ in got}) == len(got)
+        assert {rest: completion & window for rest, completion in got} == want
 
 
 class TestRecursiveUpperBound:
