@@ -5,9 +5,12 @@ branch-and-bound over subsets, elements added in increasing order.  An
 element is admitted only if it completes no wave whose final point it is
 (any new wave must end at the newest, largest element), and a branch is cut
 when the remaining universe provably cannot beat the incumbent.  Values are
-solved for n = 1, 2, ... in order so every certified g(m) with m < n serves
-as an admissible suffix bound for the [m]-sized tail of the universe, and
-any strictly improving set at step n must contain n itself (everything
+solved for n = 1, 2, ... in order, and a translate of a wave-free set is
+wave-free, so every certified g(m) with m < n bounds any m consecutive
+points: the picks after e (in (e, n]) by g(n-e), and e with the picks after
+it (in [e, n]) by g(n-e+1) once e >= 2.  The closed bound is the tighter one
+on the plateaus of g, and at the root it ends the loop over least points.
+Any strictly improving set at step n must contain n itself (everything
 smaller was exhausted at step n-1), which prunes subtrees that have already
 lost n.  The reported witness is the lexicographically least optimum: the
 search visits subsets in lexicographic order and no cut ever removes a
@@ -20,8 +23,9 @@ the bitmask of the final points x > e that complete it to a wave.  Those
 are exactly the points whose last gap x - e lies between the largest
 prefix gap with a smaller pi-value and the smallest with a larger one (open
 interval in strict mode, closed in weak mode), so each prefix costs one
-mask whatever the universe.  Including e ORs the masks of the prefixes
-already inside the chosen set into the branch's forbidden-candidate mask.
+mask whatever the universe.  Grouped by the top point w_{k-1}, the list
+lets including e scan only the groups of chosen points, ORing the masks of
+the prefixes inside the chosen set into the branch's forbidden mask.
 For the two patterns of length 2 the completion rule also has a closed
 shape (every admissible next element doubles the current span, upward for
 2,1 and mirrored for 1,2), which yields an exact bound on how many elements
@@ -260,8 +264,9 @@ class _GEngine:
         self.strict = mode == "strict"
         self.g: list[int] = [0]
         self.witnesses: list[tuple[int, ...]] = [()]
-        # tables[e]: _prefix_completions of e, built when the search reaches e
-        self.tables: dict[int, list[tuple[int, int]]] = {}
+        # tables[e]: _prefix_completions of e grouped by the prefix's top point,
+        # built when the search reaches e
+        self.tables: dict[int, dict[int, list[tuple[int, int]]]] = {}
         self.desc2 = self.strict and pi.values == (2, 1)
         self.asc2 = self.strict and pi.values == (1, 2)
         self.lock = threading.Lock()
@@ -292,6 +297,9 @@ class _GEngine:
             ncands = len(cands)
             for i, e in enumerate(cands):
                 newvcap = n
+                # e and every later pick lie in [e, n], a shift of [n-e+1]
+                if e >= 2 and csize + g[n - e + 1] <= incumbent:
+                    break
                 if self.desc2:
                     m1 = celems[0] if celems else e
                     if csize + 1 + _ext_doubling_up(m1, e, n) <= incumbent:
@@ -314,11 +322,16 @@ class _GEngine:
                     best = tuple(celems)
                 table = tables.get(e)
                 if table is None:
-                    table = tables[e] = _prefix_completions(self.pi.values, e, self.strict)
+                    # the empty prefix (k = 1) has no top point; e stands in, always chosen
+                    table = tables[e] = {}
+                    for rest, completion in _prefix_completions(self.pi.values, e, self.strict):
+                        top = (rest or 1 << e).bit_length() - 1
+                        table.setdefault(top, []).append((rest, completion))
                 dead = 0
-                for rest, completion in table:
-                    if rest & cmask == rest:
-                        dead |= completion
+                for t in celems:
+                    for rest, completion in table.get(t, ()):
+                        if rest & cmask == rest:
+                            dead |= completion
                 newcands = [x for x in cands[i + 1 :] if not dead >> x & 1]
                 if newcands and not (
                     incumbent >= anchored_floor and newcands[-1] != n
@@ -466,6 +479,8 @@ def exact_P(
         if assign(1, 0):
             last_good = tuple(sol[1 : M + 1])
             continue
+        # assign's closure refers to itself; break that cycle so by_max goes now
+        del assign
         if exhausted:
             return ColoringResult(
                 pattern=pi,

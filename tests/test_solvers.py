@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import S2, S3, all_patterns, naive_is_wave, oracle_g, oracle_p
 from wavelab import Coloring, Permutation, exact_P, exact_g, recursive_upper_bound_g, reverse
-from wavelab.solvers import _prefix_completions
+from wavelab.solvers import _prefix_completions, _reset_caches
 
 
 def P(text):
@@ -136,6 +136,50 @@ class TestExactG:
                 r = exact_g(Permutation(vals), n)
                 assert (r.value, r.witness.elements) == (len(want), want), (vals, n)
 
+    # Values and lex-least witnesses on the plateaus where the translation
+    # cuts fire, recorded from the engine that scanned each point's whole
+    # kernel table and bounded a suffix by g(n-e) only; with the node total
+    # of each ladder solved from n = 1 on a fresh engine, so that a cut
+    # switched off shows.
+    CUT_LADDERS = {
+        ((1, 3, 2), "weak"): (
+            20478,
+            ["1", "1,2"] + ["1,2,3"] * 2 + ["1,2,3,5"] * 3 + ["1,3,4,5,8"]
+            + ["1,2,3,5,9"] * 3 + ["1,5,7,8,9,12", "1,4,5,6,8,13"]
+            + ["1,3,4,5,8,14"] * 3 + ["1,6,10,13,14,15,17"] * 3
+            + ["1,4,7,9,11,19,20"] * 3 + ["1,4,5,6,8,13,23"] * 2
+            + ["1,9,14,18,21,22,23,25"] * 3 + ["1,5,9,12,15,26,27,28"],
+        ),
+        ((2, 4, 1, 3), "strict"): (
+            14119,
+            [",".join(map(str, range(1, m + 1))) for m in range(1, 10)]
+            + ["1,2,3,4,5,6,7,8,9,10"] * 2
+            + ["1,2,3,4,5,6,7,9,10,11,12", "1,2,3,4,5,6,7,8,10,12,13",
+               "1,2,3,4,5,6,7,8,10,12,13,14"]
+            + ["1,2,3,4,5,6,7,8,10,12,13,14,15"] * 2
+            + ["1,2,3,4,5,6,7,8,9,14,15,16,17", "1,2,3,4,5,6,7,8,10,13,15,16,17,18"]
+            + ["1,2,3,4,5,6,7,8,9,10,16,17,18,19"] * 2
+            + ["1,2,3,4,5,6,7,8,9,10,16,18,19,20,21"] * 4,
+        ),
+    }
+
+    def test_cut_ladders_match_recorded_engine(self):
+        for (vals, mode), (nodes, witnesses) in self.CUT_LADDERS.items():
+            _reset_caches()
+            top = exact_g(Permutation(vals), len(witnesses), mode)
+            assert top.nodes == nodes, (vals, mode)
+            for n, text in enumerate(witnesses, start=1):
+                want = tuple(int(x) for x in text.split(","))
+                r = exact_g(Permutation(vals), n, mode)
+                assert (r.value, r.witness.elements) == (len(want), want), (vals, mode, n)
+
+    def test_single_point_pattern(self):
+        # every pair is a 1-wave; the empty prefix's completions are always live
+        for mode in ("strict", "weak"):
+            for n in range(1, 13):
+                r = exact_g(P("1"), n, mode)
+                assert (r.value, r.witness.elements, r.status) == (1, (1,), "exact"), (mode, n)
+
     def test_length_two_closed_form_across_64(self):
         for pat in ("2,1", "1,2"):
             for n in range(60, 101):
@@ -221,6 +265,29 @@ class TestExactP:
         res = exact_P(P("1,2,3,4,5"), 2, node_budget=10**4)
         assert res.status == "lower-bound"
         assert res.value >= 37 and res.nodes <= 10**4
+
+    def test_tables_freed_on_return(self):
+        import gc
+        import tracemalloc
+
+        import wavelab.solvers
+
+        pi = P("1,3,2")
+        exact_P(pi, 1)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            exact_P(pi, 3, node_budget=10**3)
+            snap = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # count only blocks allocated in solvers.py: the interpreter's tuple
+        # free lists keep ~130 KB of the wave predicate's tuples whatever
+        # exact_P does, and only a full collection empties them
+        own = snap.filter_traces([tracemalloc.Filter(True, wavelab.solvers.__file__)])
+        assert sum(s.size for s in own.statistics("filename")) < 32 * 1024
 
     def test_validation(self):
         with pytest.raises(ValueError):
