@@ -5,10 +5,11 @@ Subcommands mirror the library one-to-one: ``classify``, ``detect``,
 and ``verify``.  Exit status: 0 success, 1 domain error, 2 usage error,
 3 result incomplete under the node budget.
 
-The ``g``, ``p`` and ``table`` commands read and write a line-oriented
-cache so expensive searches run once; the path comes from ``--cache``, the
-WAVELAB_CACHE environment variable, or ./wavelab-cache.txt, and
-``--no-cache`` disables it.
+The ``g``, ``p`` and ``table`` commands share one cached solve over a
+line-oriented cache: an exact record answers without a search, and only
+exact results are appended, so expensive searches run once.  The path
+comes from ``--cache``, the WAVELAB_CACHE environment variable, or
+./wavelab-cache.txt, and ``--no-cache`` disables it.
 """
 
 from __future__ import annotations
@@ -107,48 +108,41 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_g(args: argparse.Namespace) -> int:
-    pi = Permutation.parse(args.pi)
-    mode = _mode(args)
-    store = _store_for(args)
-    if store is not None:
-        rec = store.get("g", pi, args.n, mode)
-        if rec is not None and rec.status == "exact":
-            print(rec.value)
-            print(str(rec.witness))
-            return EXIT_OK
-    res = exact_g(pi, args.n, mode, node_budget=args.node_budget)
-    if res.status != "exact":
-        print(f"incomplete: budget exhausted, best lower bound {res.value}")
-        print(str(res.witness))
-        return EXIT_INCOMPLETE
-    print(res.value)
-    print(str(res.witness))
-    if store is not None:
-        store.put(Record("g", pi, args.n, mode, res.value, "exact", res.witness))
-    return EXIT_OK
+def _cached_solve(
+    kind: str, pi: Permutation, param: int, mode: str, store: Store | None, node_budget: int
+) -> tuple[int, str, IntSet | Coloring]:
+    """(value, status, witness) of g(pi, param) or P(pi, param), by ``kind``.
+
+    An exact record in the store answers without a search; otherwise the
+    solver runs and an exact result is appended to the store.  Lower bounds
+    are returned but never stored.
+    """
+    rec = store.get(kind, pi, param, mode) if store is not None else None
+    if rec is not None and rec.status == "exact":
+        return rec.value, rec.status, rec.witness
+    if kind == "g":
+        res = exact_g(pi, param, mode, node_budget=node_budget)
+        witness = res.witness
+    else:
+        res = exact_P(pi, param, mode, node_budget=node_budget)
+        witness = res.extremal
+    if store is not None and res.status == "exact":
+        store.put(Record(kind, pi, param, mode, res.value, "exact", witness))
+    return res.value, res.status, witness
 
 
-def _cmd_p(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
+    """``g`` and ``p``: the subcommand name is the kind of value."""
     pi = Permutation.parse(args.pi)
-    mode = _mode(args)
-    store = _store_for(args)
-    if store is not None:
-        rec = store.get("p", pi, args.r, mode)
-        if rec is not None and rec.status == "exact":
-            print(rec.value)
-            print(str(rec.witness))
-            return EXIT_OK
-    res = exact_P(pi, args.r, mode, node_budget=args.node_budget)
-    if res.status != "exact":
-        print(f"incomplete: budget exhausted, best lower bound {res.value}")
-        print(str(res.extremal))
-        return EXIT_INCOMPLETE
-    print(res.value)
-    print(str(res.extremal))
-    if store is not None:
-        store.put(Record("p", pi, args.r, mode, res.value, "exact", res.extremal))
-    return EXIT_OK
+    value, status, witness = _cached_solve(
+        args.command, pi, args.param, _mode(args), _store_for(args), args.node_budget
+    )
+    if status == "exact":
+        print(value)
+    else:
+        print(f"incomplete: budget exhausted, best lower bound {value}")
+    print(str(witness))
+    return EXIT_OK if status == "exact" else EXIT_INCOMPLETE
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
@@ -208,29 +202,17 @@ def emit_table(
 ) -> bool:
     """Write a CSV of values for param = 1..max_param; True iff all exact.
 
-    Values come from the store when it already has them exactly, and are
-    stored after computation otherwise.
+    Values come from the store when it already has them exactly, and exact
+    values are stored after computation.
     """
     incomplete = False
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pattern", "param", "mode", "value", "status", "witness"])
         for param in range(1, max_param + 1):
-            rec = store.get(kind, pi, param, mode) if store is not None else None
-            if rec is not None and rec.status == "exact":
-                value, status, wit = rec.value, rec.status, str(rec.witness)
-            elif kind == "g":
-                res = exact_g(pi, param, mode, node_budget=node_budget)
-                value, status, wit = res.value, res.status, str(res.witness)
-                if store is not None:
-                    store.put(Record("g", pi, param, mode, value, status, res.witness))
-            else:
-                pres = exact_P(pi, param, mode, node_budget=node_budget)
-                value, status, wit = pres.value, pres.status, str(pres.extremal)
-                if store is not None:
-                    store.put(Record("p", pi, param, mode, value, status, pres.extremal))
+            value, status, witness = _cached_solve(kind, pi, param, mode, store, node_budget)
             incomplete = incomplete or status != "exact"
-            writer.writerow([str(pi), param, mode, value, status, wit])
+            writer.writerow([str(pi), param, mode, value, status, str(witness)])
     return not incomplete
 
 
@@ -281,17 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("g", help="largest wave-free subset of [n]")
     sp.add_argument("--pi", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=int, required=True, dest="param", metavar="N")
     sp.add_argument("--weak", action="store_true")
     _add_cache_opts(sp)
-    sp.set_defaults(func=_cmd_g)
+    sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("p", help="least M forcing a monochromatic wave")
     sp.add_argument("--pi", required=True)
-    sp.add_argument("--r", type=int, required=True, help="palette size")
+    sp.add_argument("--r", type=int, required=True, dest="param", metavar="R",
+                    help="palette size")
     sp.add_argument("--weak", action="store_true")
     _add_cache_opts(sp)
-    sp.set_defaults(func=_cmd_p)
+    sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("bound", help="recursive upper bound for the wave-free size")
     sp.add_argument("--pi", required=True)

@@ -2,18 +2,19 @@
 the pigeonhole wave-extraction procedures.
 
 The two extraction procedures run the constructive argument behind the
-recursive upper bounds literally.  Elements of the input set are classed by
-the dyadic size of a forward gap (the immediate successor gap for the main
-variant, the three-step gap for the strong variant); the heaviest class is
-thinned to every second (resp. third) member and floor-divided by the class
-scale so that surviving gaps are large multiples of the scale; a residue
-class mod 6 then supplies a wave for the reduced pattern, which lifts back
-to the original values with gaps so far apart that inserting one successor
-element (resp. a profile-picked pair plus one three-step successor) realizes
-the full pattern.  Every completed run is verified against the wave
-predicate before returning; a verification failure raises, because the
-lifting argument guarantees success whenever the pigeonhole steps found
-mass, regardless of how small the input was.
+recursive upper bounds literally, as one pipeline with two parameter sets.
+Elements of the input set are classed by the dyadic size of a forward gap
+(the immediate successor gap for the main variant, the three-step gap for
+the strong variant); the heaviest class is thinned to every second (resp.
+third) member and floor-divided by the class scale so that surviving gaps
+are large multiples of the scale; a residue class mod 6 then supplies a
+wave for the pattern without 1 (resp. without 1 and 2), which lifts back
+to the original values with gaps so far apart that the insertion rule,
+one successor element (resp. a profile-picked pair plus one three-step
+successor), realizes the full pattern.  Every completed run is verified
+against the wave predicate before returning; a verification failure
+raises, because the lifting argument guarantees success whenever the
+pigeonhole steps found mass, regardless of how small the input was.
 
 The colorings are the matching lower-bound constructions: a palette-doubling
 three-block coloring for patterns that begin with their maximum, and a
@@ -240,7 +241,7 @@ def product_coloring(
     return out
 
 
-def _dyadic_bins(els: tuple[int, ...], n: int, step: int) -> dict[int, list[int]]:
+def _dyadic_bins(els: tuple[int, ...], step: int) -> dict[int, list[int]]:
     """Group element indices by the dyadic class of their ``step``-ahead gap.
 
     Index i (0-based) lands in class j when els[i+step] - els[i] is in
@@ -274,24 +275,93 @@ def _residue_split(thinned: list[int]) -> dict[int, list[int]]:
     return classes
 
 
-def _inner_wave(classes: dict[int, list[int]], pi_reduced: Permutation):
-    """Least residue class containing a wave for the reduced pattern."""
+def _extract(
+    s: IntSet,
+    pi: Permutation,
+    variant: str,
+    step: int,
+    stride: int,
+    removed: set[int],
+    insert,
+) -> tuple[WaveWitness, ExtractionTrace]:
+    """The pigeonhole pipeline behind both extraction variants.
+
+    Bins the ``step``-ahead gaps of ``s`` dyadically, thins the heaviest
+    class to every ``stride``-th member scaled down by the class size,
+    finds a wave for the pattern without the ``removed`` values in the
+    least mod-6 residue class that has one, and lifts it back to ``s``.
+    ``insert(pi, els, a_idx, lifted)`` then returns the assembled points
+    and the inserted ones, where ``a_idx`` indexes the lifted points in
+    ``els``.  The result is verified before it is returned.
+    """
+    els = s.elements
+    bins = _dyadic_bins(els, step)
+    s_star = _heaviest_bin(bins)
+    chosen = bins[s_star]
+    shift = s_star - 1
+    # every stride-th member of the chosen class, skipping the first stride
+    thin_idx = [chosen[stride * j - 1] for j in range(2, len(chosen) // stride + 1)]
+    thinned = [els[i] >> shift for i in thin_idx]
+    back = dict(zip(thinned, thin_idx))
+    classes = _residue_split(thinned)
+    pi_reduced = remove_values(pi, removed)
+    # the least residue class that holds a wave for the reduced pattern
     for j in range(1, 7):
         members = classes[j]
-        if len(members) < len(pi_reduced) + 1:
-            continue
-        w = find_wave(
-            IntSet(tuple(members), universe=members[-1]), pi_reduced, "strict"
+        if len(members) > len(pi_reduced):
+            inner = find_wave(IntSet(tuple(members), universe=members[-1]), pi_reduced, "strict")
+            if inner is not None:
+                break
+    else:
+        raise ExtractionFailure(
+            "inner-wave",
+            f"no residue class contains a wave for {pi_reduced} "
+            f"(thinned representatives: {_fmt(thinned) or 'none'})",
         )
-        if w is not None:
-            return j, members, w
-    return None
-
-
-def _bins_for_trace(bins: dict[int, list[int]], els: tuple[int, ...]):
-    return tuple(
-        (j, tuple(els[i] for i in bins[j])) for j in sorted(bins)
+    a_idx = [back[y] for y in inner.points]
+    lifted = [els[i] for i in a_idx]
+    final, inserted = insert(pi, els, a_idx, lifted)
+    if not is_pi_wave(final, pi):
+        raise VerificationError(
+            f"extraction assembled {final} which is not a wave for {pi}"
+        )
+    witness = WaveWitness(pattern=pi, points=final, mode="strict")
+    trace = ExtractionTrace(
+        variant=variant,
+        reflected=False,
+        universe=s.universe,
+        bin_index=s_star,
+        bins=tuple((b, tuple(els[i] for i in bins[b])) for b in sorted(bins)),
+        thinned=tuple(thinned),
+        residue_class=j,
+        residue_members=tuple(members),
+        inner_wave=inner.points,
+        lifted=tuple(lifted),
+        inserted=inserted,
+        final=witness,
     )
+    return witness, trace
+
+
+def _insert_successor(pi, els, a_idx, lifted):
+    """Main variant: the successor in s of the lifted point in the minimum's slot."""
+    ell = pi.position(1)
+    u = els[a_idx[ell - 1] + 1]
+    return tuple(lifted[:ell] + [u] + lifted[ell:]), (u,)
+
+
+def _insert_pair_and_step(pi, els, a_idx, lifted):
+    """Strong variant: a profile-picked pair for value 1, a three-step successor for 2."""
+    ell = pi.position(1)
+    rr = pi.position(2)
+    assert ell <= rr - 2
+    base = a_idx[ell - 1]
+    c = profile_pick(els[base], els[base + 1], els[base + 2])
+    u1 = els[base + c - 1]
+    u2 = els[base + c]
+    v = els[a_idx[rr - 2] + 3]  # three-step successor of the lifted point before slot r
+    final = lifted[: ell - 1] + [u1, u2] + lifted[ell : rr - 1] + [v] + lifted[rr - 1 :]
+    return tuple(final), (u1, u2, v)
 
 
 def extract_wave_main(s: IntSet, pi: Permutation) -> tuple[WaveWitness, ExtractionTrace]:
@@ -305,65 +375,21 @@ def extract_wave_main(s: IntSet, pi: Permutation) -> tuple[WaveWitness, Extracti
     class contains an inner wave (the only way the procedure can starve);
     a completed run always verifies.
     """
-    k = len(pi)
-    if k < 2:
+    if len(pi) < 2:
         raise ValueError("extraction needs a pattern of length >= 2")
     if len(s) < 2:
         raise ValueError("extraction needs at least 2 elements")
-    els = s.elements
-    n = s.universe
-    bins = _dyadic_bins(els, n, step=1)
-    s_star = _heaviest_bin(bins)
-    chosen = bins[s_star]
-    t = len(chosen)
-    shift = s_star - 1
-    # every second member of the chosen class, skipping the first pair
-    thin_idx = [chosen[2 * j - 1] for j in range(2, t // 2 + 1)]
-    thinned = [els[i] >> shift for i in thin_idx]
-    back = dict(zip(thinned, thin_idx))
-    classes = _residue_split(thinned)
-    pi_reduced = remove_values(pi, {1})
-    got = _inner_wave(classes, pi_reduced)
-    if got is None:
-        raise ExtractionFailure(
-            "inner-wave",
-            f"no residue class contains a wave for {pi_reduced} "
-            f"(thinned representatives: {_fmt(thinned) or 'none'})",
-        )
-    j, members, inner = got
-    a_idx = [back[y] for y in inner.points]
-    lifted = [els[i] for i in a_idx]
-    ell = pi.position(1)
-    u = els[a_idx[ell - 1] + 1]  # successor in s of the lifted minimum-slot point
-    final = tuple(lifted[:ell] + [u] + lifted[ell:])
-    if not is_pi_wave(final, pi):
-        raise VerificationError(
-            f"extraction assembled {final} which is not a wave for {pi}"
-        )
-    witness = WaveWitness(pattern=pi, points=final, mode="strict")
-    trace = ExtractionTrace(
-        variant="main",
-        reflected=False,
-        universe=n,
-        bin_index=s_star,
-        bins=_bins_for_trace(bins, els),
-        thinned=tuple(thinned),
-        residue_class=j,
-        residue_members=tuple(members),
-        inner_wave=inner.points,
-        lifted=tuple(lifted),
-        inserted=(u,),
-        final=witness,
-    )
-    return witness, trace
+    return _extract(s, pi, "main", 1, 2, {1}, _insert_successor)
 
 
 def extract_wave_strong(s: IntSet, pi: Permutation) -> tuple[WaveWitness, ExtractionTrace]:
     """Run the two-insertion extraction procedure on ``s``.
 
-    Requires the values 1 and 2 at non-adjacent positions of the pattern.
-    When 2 precedes 1 the procedure runs on the mirrored set with the
-    reversed pattern and the witness is mirrored back.
+    Bins three-step gaps and thins to every third member, finds a wave for
+    the pattern without 1 and 2, and inserts a profile-picked pair plus one
+    three-step successor.  Requires the values 1 and 2 at non-adjacent
+    positions of the pattern.  When 2 precedes 1 the procedure runs on the
+    mirrored set with the reversed pattern and the witness is mirrored back.
     """
     p1 = pi.position(1)
     p2 = pi.position(2)
@@ -371,71 +397,16 @@ def extract_wave_strong(s: IntSet, pi: Permutation) -> tuple[WaveWitness, Extrac
         raise ValueError("values 1 and 2 occupy adjacent positions")
     if len(s) < 4:
         raise ValueError("extraction needs at least 4 elements")
-    if p1 > p2:
-        mirrored, core_trace = _extract_strong_core(s.reflected(), reverse(pi))
-        n = s.universe
-        final = tuple(n + 1 - p for p in reversed(mirrored.points))
-        if not is_pi_wave(final, pi):
-            raise VerificationError(
-                f"mirrored extraction assembled {final} which is not a wave for {pi}"
-            )
-        witness = WaveWitness(pattern=pi, points=final, mode="strict")
-        return witness, dataclasses.replace(core_trace, reflected=True, final=witness)
-    return _extract_strong_core(s, pi)
-
-
-def _extract_strong_core(s: IntSet, pi: Permutation) -> tuple[WaveWitness, ExtractionTrace]:
-    ell = pi.position(1)
-    rr = pi.position(2)
-    assert ell <= rr - 2
-    els = s.elements
-    n = s.universe
-    bins = _dyadic_bins(els, n, step=3)
-    s_star = _heaviest_bin(bins)
-    chosen = bins[s_star]
-    t = len(chosen)
-    shift = s_star - 1
-    # every third member of the chosen class, skipping the first triple
-    thin_idx = [chosen[3 * j - 1] for j in range(2, t // 3 + 1)]
-    thinned = [els[i] >> shift for i in thin_idx]
-    back = dict(zip(thinned, thin_idx))
-    classes = _residue_split(thinned)
-    pi_reduced = remove_values(pi, {1, 2})
-    got = _inner_wave(classes, pi_reduced)
-    if got is None:
-        raise ExtractionFailure(
-            "inner-wave",
-            f"no residue class contains a wave for {pi_reduced} "
-            f"(thinned representatives: {_fmt(thinned) or 'none'})",
-        )
-    j, members, inner = got
-    a_idx = [back[y] for y in inner.points]
-    lifted = [els[i] for i in a_idx]
-    base = a_idx[ell - 1]
-    c = profile_pick(els[base], els[base + 1], els[base + 2])
-    u1 = els[base + c - 1]
-    u2 = els[base + c]
-    v = els[a_idx[rr - 2] + 3]  # three-step successor of the lifted point before slot r
-    final = tuple(
-        lifted[: ell - 1] + [u1, u2] + lifted[ell : rr - 1] + [v] + lifted[rr - 1 :]
+    if p1 < p2:
+        return _extract(s, pi, "strong", 3, 3, {1, 2}, _insert_pair_and_step)
+    mirrored, core_trace = _extract(
+        s.reflected(), reverse(pi), "strong", 3, 3, {1, 2}, _insert_pair_and_step
     )
+    n = s.universe
+    final = tuple(n + 1 - p for p in reversed(mirrored.points))
     if not is_pi_wave(final, pi):
         raise VerificationError(
-            f"extraction assembled {final} which is not a wave for {pi}"
+            f"mirrored extraction assembled {final} which is not a wave for {pi}"
         )
     witness = WaveWitness(pattern=pi, points=final, mode="strict")
-    trace = ExtractionTrace(
-        variant="strong",
-        reflected=False,
-        universe=n,
-        bin_index=s_star,
-        bins=_bins_for_trace(bins, els),
-        thinned=tuple(thinned),
-        residue_class=j,
-        residue_members=tuple(members),
-        inner_wave=inner.points,
-        lifted=tuple(lifted),
-        inserted=(u1, u2, v),
-        final=witness,
-    )
-    return witness, trace
+    return witness, dataclasses.replace(core_trace, reflected=True, final=witness)

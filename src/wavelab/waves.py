@@ -3,13 +3,18 @@
 A pattern wave for pi in S_k is an increasing integer sequence
 x_1 < ... < x_{k+1} whose consecutive gaps compare exactly the way pi's
 values compare: d_i > d_j if and only if pi(i) > pi(j).  The "if and only
-if" forces the gaps to be pairwise distinct, so the strict predicate is
-equivalent to ``normalize(gaps) == pi``.  The weak-difference variant only
-demands the one-directional pi(i) > pi(j) => d_i >= d_j and therefore
+if" forces the gaps to be pairwise distinct.  The weak-difference variant
+only demands the one-directional pi(i) > pi(j) => d_i >= d_j and therefore
 admits ties; every strict wave is a weak wave.
 
+Both modes are one gap-order rule, ``_gap_pair_ok``, applied to every pair
+of gaps.  ``prefix_feasible`` applies it to the gaps a partial sequence
+has so far, and the two wave predicates are ``prefix_feasible`` on a
+sequence of full length k+1.
+
 ``find_wave`` searches an :class:`IntSet` for the lexicographically least
-witness by depth-first extension over increasing subsequences, pruning any
+witness by depth-first extension over increasing subsequences, checking
+each new gap against the earlier ones with the same rule and pruning any
 prefix whose gaps already contradict the pattern.  The pruning is lossless:
 a genuine wave has every prefix order-compatible with the pattern, so the
 first complete sequence the search reaches is the least witness.
@@ -17,11 +22,11 @@ first complete sequence the search reaches is the least witness.
 
 from __future__ import annotations
 
-import functools
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .perm import Permutation, normalize
+from .perm import Permutation
 
 __all__ = [
     "IntSet",
@@ -32,14 +37,9 @@ __all__ = [
     "is_weak_pi_wave",
     "prefix_feasible",
     "find_wave",
-    "BITMASK_UNIVERSE_CAP",
 ]
 
 Mode = Literal["strict", "weak"]
-
-# Above this universe size IntSet skips the membership bitmask and falls
-# back to a frozenset; successor queries stay index-based either way.
-BITMASK_UNIVERSE_CAP = 1 << 20
 
 
 def _check_mode(mode: str) -> None:
@@ -89,20 +89,9 @@ class IntSet:
             raise ValueError(f"cannot parse integer set from {text!r}") from None
         return cls.from_iterable(vals, universe)
 
-    @functools.cached_property
-    def _members(self) -> int | frozenset[int]:
-        if self.universe <= BITMASK_UNIVERSE_CAP:
-            mask = 0
-            for e in self.elements:
-                mask |= 1 << e
-            return mask
-        return frozenset(self.elements)
-
     def __contains__(self, x: int) -> bool:
-        m = self._members
-        if isinstance(m, int):
-            return 0 < x <= self.universe and bool(m >> x & 1)
-        return x in m
+        i = bisect.bisect_left(self.elements, x)
+        return i < len(self.elements) and self.elements[i] == x
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -115,8 +104,6 @@ class IntSet:
 
     def successor(self, x: int) -> int | None:
         """Least element strictly above x, or None."""
-        import bisect
-
         i = bisect.bisect_right(self.elements, x)
         return self.elements[i] if i < len(self.elements) else None
 
@@ -150,16 +137,7 @@ def is_pi_wave(points: Sequence[int], pi: Permutation) -> bool:
     >>> is_pi_wave((1, 2, 3), Permutation((1, 2)))
     False
     """
-    k = len(pi)
-    points = tuple(points)
-    if len(points) != k + 1:
-        return False
-    if any(a >= b for a, b in zip(points, points[1:])):
-        return False
-    diffs = tuple(b - a for a, b in zip(points, points[1:]))
-    if len(set(diffs)) != k:
-        return False
-    return normalize(diffs) == pi
+    return len(points) == len(pi) + 1 and prefix_feasible(points, pi, "strict")
 
 
 def is_weak_pi_wave(points: Sequence[int], pi: Permutation) -> bool:
@@ -170,19 +148,7 @@ def is_weak_pi_wave(points: Sequence[int], pi: Permutation) -> bool:
     >>> is_weak_pi_wave((1, 2, 4), Permutation((2, 1)))
     False
     """
-    k = len(pi)
-    points = tuple(points)
-    if len(points) != k + 1:
-        return False
-    if any(a >= b for a, b in zip(points, points[1:])):
-        return False
-    diffs = [b - a for a, b in zip(points, points[1:])]
-    vals = pi.values
-    for i in range(k):
-        for j in range(k):
-            if vals[i] > vals[j] and diffs[i] < diffs[j]:
-                return False
-    return True
+    return len(points) == len(pi) + 1 and prefix_feasible(points, pi, "weak")
 
 
 def wave_predicate(mode: Mode):
@@ -235,6 +201,7 @@ def prefix_feasible(partial: Sequence[int], pi: Permutation, mode: Mode = "stric
 
 
 def _gap_pair_ok(pi_i: int, pi_j: int, d_i: int, d_j: int, strict: bool) -> bool:
+    """The gap-order rule: may gaps d_i, d_j stand where pi has pi_i, pi_j?"""
     if strict:
         # ties are never allowed: the gap order must mirror the value order
         return d_i != d_j and (d_i > d_j) == (pi_i > pi_j)
@@ -245,19 +212,13 @@ def _gap_pair_ok(pi_i: int, pi_j: int, d_i: int, d_j: int, strict: bool) -> bool
     return True
 
 
-def find_wave(
-    s: IntSet,
-    pi: Permutation,
-    mode: Mode = "strict",
-    *,
-    prune: bool = True,
-) -> WaveWitness | None:
+def find_wave(s: IntSet, pi: Permutation, mode: Mode = "strict") -> WaveWitness | None:
     """Lexicographically least wave among the elements of ``s``, or None.
 
     Depth-first search over increasing subsequences, extending by elements
     in ascending order, so the first completed sequence is the least
-    witness.  ``prune=False`` disables the prefix-feasibility cut (used to
-    test that pruning is lossless); results are identical either way.
+    witness.  Each new gap is checked against every earlier one, so a
+    sequence that reaches length k+1 is a wave without a further check.
     """
     _check_mode(mode)
     k = len(pi)
@@ -268,7 +229,6 @@ def find_wave(
         return None
     strict = mode == "strict"
     vals = pi.values
-    full_pred = wave_predicate(mode)
     stackpts: list[int] = []
     stackdiffs: list[int] = []
 
@@ -278,23 +238,19 @@ def find_wave(
             x = els[idx]
             if depth > 0:
                 d = x - stackpts[-1]
-                if prune:
-                    ok = all(
-                        _gap_pair_ok(vals[i], vals[depth - 1], stackdiffs[i], d, strict)
-                        for i in range(depth - 1)
-                    )
-                    if not ok:
-                        continue
+                ok = all(
+                    _gap_pair_ok(vals[i], vals[depth - 1], stackdiffs[i], d, strict)
+                    for i in range(depth - 1)
+                )
+                if not ok:
+                    continue
                 stackdiffs.append(d)
             stackpts.append(x)
             if len(stackpts) == need:
-                pts = tuple(stackpts)
-                if full_pred(pts, pi):
-                    return pts
-            else:
-                got = extend(idx + 1)
-                if got is not None:
-                    return got
+                return tuple(stackpts)
+            got = extend(idx + 1)
+            if got is not None:
+                return got
             stackpts.pop()
             if depth > 0:
                 stackdiffs.pop()

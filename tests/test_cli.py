@@ -3,6 +3,7 @@ import csv
 import pytest
 
 from wavelab.cli import main
+from wavelab.solvers import _reset_caches
 
 
 def run(capsys, *argv):
@@ -110,6 +111,38 @@ class TestCache:
         assert "g 2,1 8 strict 4 exact 1,2,3,5" in cache.read_text()
         second = run(capsys, "g", "--pi", "2,1", "--n", "8", "--cache", str(cache))
         assert second == first
+
+    def test_p_uses_cache(self, capsys, tmp_path):
+        cache = tmp_path / "c.txt"
+        first = run(capsys, "p", "--pi", "2,1", "--r", "2", "--cache", str(cache))
+        assert first == (0, "9\n1,1,1,2,2,2,1,2\n", "")
+        assert cache.read_text() == "p 2,1 2 strict 9 exact 1,1,1,2,2,2,1,2\n"
+        second = run(capsys, "p", "--pi", "2,1", "--r", "2", "--cache", str(cache))
+        assert second == first
+
+    def _budgeted_table(self, capsys, tmp_path):
+        _reset_caches()  # earlier solves of 1,3,2 in this process would be reused
+        out_csv = tmp_path / "t.csv"
+        cache = tmp_path / "c.txt"
+        code, _, _ = run(
+            capsys, "table", "--kind", "g", "--pi", "1,3,2", "--max", "12",
+            "--node-budget", "10", "--csv", str(out_csv), "--cache", str(cache),
+        )
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        return code, rows, cache
+
+    def test_budgeted_table_reports_lower_bounds(self, capsys, tmp_path):
+        code, rows, _ = self._budgeted_table(capsys, tmp_path)
+        assert code == 3
+        assert len(rows) == 12
+        assert any(r[4] == "lower-bound" for r in rows)
+
+    def test_budgeted_table_stores_exact_only(self, capsys, tmp_path):
+        _, rows, cache = self._budgeted_table(capsys, tmp_path)
+        text = cache.read_text()
+        assert "lower-bound" not in text
+        assert len(text.splitlines()) == sum(1 for r in rows if r[4] == "exact")
 
     def test_env_var_cache_path(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env-cache.txt"

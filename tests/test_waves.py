@@ -13,7 +13,6 @@ from wavelab import (
     prefix_feasible,
     reverse,
 )
-import wavelab.waves
 
 
 def P(text):
@@ -48,8 +47,8 @@ class TestIntSet:
         assert 4 in s and 5 not in s and 0 not in s and 9 not in s
         assert s.successor(2) == 4 and s.successor(8) is None
 
-    def test_membership_above_bitmask_cap(self):
-        n = wavelab.waves.BITMASK_UNIVERSE_CAP + 10
+    def test_membership_in_large_universe(self):
+        n = 2**20 + 10
         s = IntSet((5, n), n)
         assert 5 in s and n in s and 6 not in s
 
@@ -160,19 +159,6 @@ class TestFindWave:
                     )
                     got = find_wave(IntSet(els, n), pi, mode)
                     assert (None if got is None else got.points) == expected
-
-    def test_pruning_is_lossless(self):
-        n = 9
-        for pi in S2 + S3:
-            for mode in ("strict", "weak"):
-                for mask in range(1, 1 << n):
-                    els = tuple(i + 1 for i in range(n) if mask >> i & 1)
-                    s = IntSet(els, n)
-                    a = find_wave(s, pi, mode, prune=True)
-                    b = find_wave(s, pi, mode, prune=False)
-                    assert (a is None) == (b is None)
-                    if a is not None:
-                        assert a.points == b.points
 
     def test_strict_witness_implies_weak_witness(self):
         for pi in S3:
