@@ -52,7 +52,7 @@ import threading
 from dataclasses import dataclass
 
 from .perm import Permutation, remove_values
-from .waves import IntSet, Mode, _gap_pair_ok, wave_predicate
+from .waves import IntSet, Mode, _gap_interval, _gap_pair_ok, wave_predicate
 
 __all__ = [
     "Coloring",
@@ -212,34 +212,28 @@ def _prefix_completions(
     A prefix is w_1 < ... < w_{k-1} < e whose gaps relate pairwise as
     vals[:k-1] do; ``rest`` has the bits of the w's.  ``completion`` has the
     bit of every x > e such that prefix + (x,) is a wave: its last gap lies
-    strictly (strict mode) or weakly (weak mode) between ``lo``, the largest
-    prefix gap whose value is below vals[-1], and ``hi``, the smallest whose
-    value is above it.  With no ``hi`` the mask is negative, i.e. it runs on
-    forever, so it never depends on the universe.  Prefixes no point
-    completes are left out.  For 2,1 at e = 4, (3, 4) has no completion,
-    (2, 4) completes at 5 and (1, 4) at 5 or 6:
+    in ``_gap_interval`` of the prefix gaps, strictly (strict mode) or
+    weakly (weak mode) between ``lo``, the largest prefix gap whose value is
+    below vals[-1], and ``hi``, the smallest whose value is above it.  With
+    no ``hi`` the mask is negative, i.e. it runs on forever, so it never
+    depends on the universe.  Prefixes no point completes are left out.
+    For 2,1 at e = 4, (3, 4) has no completion, (2, 4) completes at 5 and
+    (1, 4) at 5 or 6:
 
     >>> [(bin(r), bin(c)) for r, c in _prefix_completions((2, 1), 4, True)]
     [('0b100', '0b100000'), ('0b10', '0b1100000')]
     """
     k = len(vals)
-    top = vals[-1]
-    below = [j for j in range(k - 1) if vals[j] < top]
-    above = [j for j in range(k - 1) if vals[j] > top]
     gaps = [0] * (k - 1)
     out: list[tuple[int, int]] = []
 
     def down(i: int, upper: int, rest: int) -> None:
         if i < 0:
-            lo = max((gaps[j] for j in below), default=0)
-            hi = min((gaps[j] for j in above), default=None)
-            first = e + lo + 1 if strict else e + max(lo, 1)
-            if hi is None:
-                out.append((rest, -(1 << first)))
-            else:
-                last = e + hi - 1 if strict else e + hi
-                if last >= first:
-                    out.append((rest, (1 << last + 1) - (1 << first)))
+            first, last = _gap_interval(vals, gaps, strict)
+            if last is None:
+                out.append((rest, -(1 << e + first)))
+            elif last >= first:
+                out.append((rest, (1 << e + last + 1) - (1 << e + first)))
             return
         # gap i runs from w_{i+1} up to upper; w_{i+1} >= i + 1 leaves room below
         for w in range(upper - 1, i, -1):

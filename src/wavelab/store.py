@@ -12,6 +12,13 @@ record must re-verify against the wave predicates, both on ``put`` and when
 the file is loaded, and an exact record may never be contradicted by a later
 exact record for the same key.  The store performs no symmetry closure:
 looking up the reverse of a stored pattern misses.
+
+Whether a set holds a wave depends only on its consecutive gaps, so all
+translates of a set hold a wave or none does.  A :class:`Store` therefore
+runs the wave search once per distinct (pattern, mode, gaps) shape of a
+density witness, on load and on ``put`` alike, and every further record of
+that shape reuses the answer.  The other checks (universe, size against
+value, and for colorings everything) still run on every record.
 """
 
 from __future__ import annotations
@@ -71,6 +78,10 @@ class Record:
 
     def verify(self) -> None:
         """Re-check the witness; raises StoreError when it fails."""
+        self._check_shape()
+        self._check_waves()
+
+    def _check_shape(self) -> None:
         if self.kind == "g":
             if not isinstance(self.witness, IntSet):
                 raise StoreError("density record needs an integer-set witness")
@@ -81,10 +92,6 @@ class Record:
             if len(self.witness) != self.value:
                 raise StoreError(
                     f"witness size {len(self.witness)} != value {self.value}"
-                )
-            if find_wave(self.witness, self.pattern, self.mode) is not None:
-                raise StoreError(
-                    f"witness {self.witness} contains a {self.mode} wave for {self.pattern}"
                 )
         else:
             if not isinstance(self.witness, Coloring):
@@ -98,10 +105,17 @@ class Record:
                 raise StoreError(
                     f"extremal coloring palette {self.witness.palette} != r={self.parameter}"
                 )
-            if not verify_coloring_wave_free(self.witness, self.pattern, self.mode):
+
+    def _check_waves(self) -> None:
+        if self.kind == "g":
+            if find_wave(self.witness, self.pattern, self.mode) is not None:
                 raise StoreError(
-                    f"extremal coloring has a monochromatic {self.mode} wave for {self.pattern}"
+                    f"witness {self.witness} contains a {self.mode} wave for {self.pattern}"
                 )
+        elif not verify_coloring_wave_free(self.witness, self.pattern, self.mode):
+            raise StoreError(
+                f"extremal coloring has a monochromatic {self.mode} wave for {self.pattern}"
+            )
 
     def to_line(self) -> str:
         wit = str(self.witness) or "-"
@@ -144,14 +158,18 @@ class Record:
 class Store:
     """Append-only record file with an in-memory index.
 
-    Single writer, many readers: each put writes one whole line and flushes.
-    Loading verifies every record and rejects the file on the first bad one.
+    Each put appends its whole line with a single ``write`` on an
+    ``O_APPEND`` descriptor and syncs it, so puts from several threads or
+    processes land as whole lines.  Loading verifies every record and
+    rejects the file on the first bad one.
     """
 
     def __init__(self, path: str | os.PathLike[str]):
         self.path = os.fspath(path)
         self._lock = threading.Lock()
         self._records: dict[tuple, list[Record]] = {}
+        # (pattern values, mode, gaps) of density witnesses found wave-free
+        self._wave_free: set[tuple] = set()
         if os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, start=1):
@@ -160,10 +178,25 @@ class Store:
                         continue
                     try:
                         rec = Record.from_line(line)
-                        rec.verify()
+                        self._verify(rec)
                         self._ingest(rec)
                     except StoreError as exc:
                         raise type(exc)(f"{self.path}:{lineno}: {exc}") from None
+
+    def _verify(self, rec: Record) -> None:
+        """``rec.verify()``, searching each density witness shape only once."""
+        rec._check_shape()
+        if rec.kind == "g" and len(rec.witness) > len(rec.pattern):
+            els = rec.witness.elements
+            shape = (rec.pattern.values, rec.mode, tuple(b - a for a, b in zip(els, els[1:])))
+            if shape in self._wave_free:
+                return
+            rec._check_waves()
+            # only a shape that passed is remembered; a racing put at worst
+            # repeats the search
+            self._wave_free.add(shape)
+        else:
+            rec._check_waves()
 
     def _ingest(self, rec: Record) -> None:
         bucket = self._records.setdefault(rec.key, [])
@@ -178,7 +211,8 @@ class Store:
 
     def put(self, rec: Record) -> None:
         """Verify and durably append; identical exact re-puts are no-ops."""
-        rec.verify()
+        self._verify(rec)
+        data = (rec.to_line() + "\n").encode("utf-8")
         with self._lock:
             bucket = self._records.get(rec.key, [])
             if rec.status == "exact" and any(
@@ -186,10 +220,16 @@ class Store:
             ):
                 return
             self._ingest(rec)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(rec.to_line() + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                written = os.write(fd, data)
+                if written != len(data):
+                    raise OSError(
+                        f"{self.path}: short append ({written} of {len(data)} bytes)"
+                    )
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
     def get(
         self, kind: str, pattern: Permutation, parameter: int, mode: Mode

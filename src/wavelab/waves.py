@@ -12,11 +12,19 @@ of gaps.  ``prefix_feasible`` applies it to the gaps a partial sequence
 has so far, and the two wave predicates are ``prefix_feasible`` on a
 sequence of full length k+1.
 
+Against a fixed list of earlier gaps the same rule confines the next gap to
+one interval, ``_gap_interval``: above ``lo``, the largest earlier gap whose
+pi-value is smaller, and below ``hi``, the smallest earlier gap whose
+pi-value is larger, strictly in strict mode and weakly (but at least 1) in
+weak mode.  ``find_wave`` and the exact-g kernel in ``solvers`` both step by
+this interval.
+
 ``find_wave`` searches an :class:`IntSet` for the lexicographically least
-witness by depth-first extension over increasing subsequences, checking
-each new gap against the earlier ones with the same rule and pruning any
-prefix whose gaps already contradict the pattern.  The pruning is lossless:
-a genuine wave has every prefix order-compatible with the pattern, so the
+witness by depth-first extension over increasing subsequences.  Each level
+takes only the elements whose gap to the previous point lies in the
+interval, found by bisection, so every prefix it visits is order-compatible
+with the pattern.  Nothing is lost: a genuine wave has every prefix
+order-compatible, and the elements are visited in ascending order, so the
 first complete sequence the search reaches is the least witness.
 """
 
@@ -212,13 +220,45 @@ def _gap_pair_ok(pi_i: int, pi_j: int, d_i: int, d_j: int, strict: bool) -> bool
     return True
 
 
+def _gap_interval(
+    vals: Sequence[int], gaps: Sequence[int], strict: bool
+) -> tuple[int, int | None]:
+    """Allowed range ``(first, last)`` of the gap after ``gaps``, inclusive.
+
+    The new gap stands where pi has ``vals[len(gaps)]`` and must satisfy
+    ``_gap_pair_ok`` with every earlier gap.  ``last`` is None when no
+    earlier gap has a larger pi-value; the range is empty when first > last.
+
+    >>> _gap_interval((2, 3, 1), (4, 9), True)
+    (1, 3)
+    >>> _gap_interval((2, 3, 1), (4, 9), False)
+    (1, 4)
+    >>> _gap_interval((1, 3, 2), (4, 9), True)
+    (5, 8)
+    """
+    top = vals[len(gaps)]
+    lo = 0
+    hi = None
+    for v, d in zip(vals, gaps):
+        if v < top:
+            if d > lo:
+                lo = d
+        elif hi is None or d < hi:
+            hi = d
+    if strict:
+        return lo + 1, None if hi is None else hi - 1
+    return max(lo, 1), hi
+
+
 def find_wave(s: IntSet, pi: Permutation, mode: Mode = "strict") -> WaveWitness | None:
     """Lexicographically least wave among the elements of ``s``, or None.
 
     Depth-first search over increasing subsequences, extending by elements
     in ascending order, so the first completed sequence is the least
-    witness.  Each new gap is checked against every earlier one, so a
-    sequence that reaches length k+1 is a wave without a further check.
+    witness.  Each level steps only through the elements whose gap to the
+    previous point lies in ``_gap_interval`` of the gaps so far, so a
+    sequence that reaches length k+1 is a wave without a further check, and
+    the last level takes the first element in range.
     """
     _check_mode(mode)
     k = len(pi)
@@ -229,34 +269,34 @@ def find_wave(s: IntSet, pi: Permutation, mode: Mode = "strict") -> WaveWitness 
         return None
     strict = mode == "strict"
     vals = pi.values
-    stackpts: list[int] = []
-    stackdiffs: list[int] = []
+    pts: list[int] = []
+    gaps: list[int] = []
 
-    def extend(start: int) -> tuple[int, ...] | None:
-        depth = len(stackpts)
-        for idx in range(start, m):
+    def extend(start: int) -> bool:
+        # pts holds at least one point; try every element from start on
+        # whose gap to pts[-1] the earlier gaps allow
+        first, last = _gap_interval(vals, gaps, strict)
+        x0 = pts[-1]
+        lo = bisect.bisect_left(els, x0 + first, start)
+        hi = m if last is None else bisect.bisect_right(els, x0 + last, lo)
+        if len(pts) + 1 == need:
+            if lo < hi:
+                pts.append(els[lo])
+                return True
+            return False
+        for idx in range(lo, hi):
             x = els[idx]
-            if depth > 0:
-                d = x - stackpts[-1]
-                ok = all(
-                    _gap_pair_ok(vals[i], vals[depth - 1], stackdiffs[i], d, strict)
-                    for i in range(depth - 1)
-                )
-                if not ok:
-                    continue
-                stackdiffs.append(d)
-            stackpts.append(x)
-            if len(stackpts) == need:
-                return tuple(stackpts)
-            got = extend(idx + 1)
-            if got is not None:
-                return got
-            stackpts.pop()
-            if depth > 0:
-                stackdiffs.pop()
-        return None
+            pts.append(x)
+            gaps.append(x - x0)
+            if extend(idx + 1):
+                return True
+            pts.pop()
+            gaps.pop()
+        return False
 
-    pts = extend(0)
-    if pts is None:
-        return None
-    return WaveWitness(pattern=pi, points=pts, mode=mode)
+    for idx in range(m - k):
+        pts.append(els[idx])
+        if extend(idx + 1):
+            return WaveWitness(pattern=pi, points=tuple(pts), mode=mode)
+        pts.pop()
+    return None

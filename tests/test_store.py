@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import time
+
 import pytest
 
+import wavelab
+import wavelab.store as store_module
 from wavelab import (
     Coloring,
     IntSet,
@@ -129,3 +136,111 @@ class TestStore:
         path = tmp_path / "cache.txt"
         path.write_text("# cache\n\ng 2,1 8 strict 4 exact 1,2,4,8\n")
         assert Store(path).get("g", P("2,1"), 8, "strict").value == 4
+
+
+class TestShapeMemo:
+    """A wave search shared by translates must not let a bad record through."""
+
+    def test_translate_with_wrong_value_rejected(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text(
+            "g 2,1 8 strict 4 exact 1,2,4,8\n"
+            "g 2,1 9 strict 5 exact 2,3,5,9\n"
+        )
+        with pytest.raises(StoreError, match=r":2: .*size"):
+            Store(path)
+
+    @pytest.mark.parametrize(
+        "first,second,wave",
+        [
+            # same gaps, other pattern, strict and weak
+            ("g 2,1 8 strict 4 exact 1,2,4,8", "g 1,2 9 strict 4 exact 2,3,5,9",
+             "strict wave for 1,2"),
+            ("g 2,1 8 weak 4 exact 1,2,4,8", "g 1,2 9 weak 4 exact 2,3,5,9",
+             "weak wave for 1,2"),
+            # same gaps and pattern, other mode
+            ("g 2,1 3 strict 3 exact 1,2,3", "g 2,1 4 weak 3 exact 2,3,4",
+             "weak wave for 2,1"),
+        ],
+    )
+    def test_shape_is_per_pattern_and_mode(self, tmp_path, first, second, wave):
+        path = tmp_path / "cache.txt"
+        path.write_text(first + "\n" + second + "\n")
+        with pytest.raises(StoreError, match=rf":2: .*{wave}"):
+            Store(path)
+
+    def test_translate_put_skips_search(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_find_wave(*args):
+            calls.append(args)
+            return wavelab.find_wave(*args)
+
+        monkeypatch.setattr(store_module, "find_wave", counting_find_wave)
+        path = tmp_path / "cache.txt"
+        store = Store(path)
+        store.put(Record.from_line("g 2,1 8 strict 4 exact 1,2,4,8"))
+        assert len(calls) == 1
+        store.put(Record.from_line("g 2,1 9 strict 4 lower-bound 2,3,5,9"))
+        assert len(calls) == 1
+        assert len(path.read_text().splitlines()) == 2
+        # a new instance searches the shape once for both lines
+        assert Store(path).get("g", P("2,1"), 9, "strict").value == 4
+        assert len(calls) == 2
+
+
+_PUT_CHILD = """
+import os, sys, time
+from wavelab import Record, Store
+lines_path, cache, ready, go = sys.argv[1:]
+with open(lines_path) as fh:
+    records = [Record.from_line(line) for line in fh.read().splitlines()]
+store = Store(cache)
+open(ready, "w").close()
+deadline = time.monotonic() + 60
+while not os.path.exists(go):
+    if time.monotonic() > deadline:
+        sys.exit("no start signal")
+    time.sleep(0.001)
+for rec in records:
+    store.put(rec)
+"""
+
+
+class TestConcurrentWriters:
+    def test_two_processes_append_whole_lines(self, tmp_path):
+        cache = tmp_path / "cache.txt"
+        go = tmp_path / "go"
+        src = os.path.dirname(os.path.dirname(wavelab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        expected, readies, children = [], [], []
+        for pattern in ("2,1", "1,2"):
+            lines = [g_record(pattern, n).to_line() for n in range(1, 61)]
+            expected += lines
+            lines_path = tmp_path / f"{pattern}.txt"
+            lines_path.write_text("\n".join(lines) + "\n")
+            readies.append(tmp_path / f"{pattern}.ready")
+            children.append(subprocess.Popen(
+                [sys.executable, "-c", _PUT_CHILD, str(lines_path), str(cache),
+                 str(readies[-1]), str(go)],
+                env=env,
+            ))
+        try:
+            # both loaded the empty cache before either appends
+            deadline = time.monotonic() + 60
+            while not all(r.exists() for r in readies) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            go.touch()
+            codes = [child.wait(timeout=120) for child in children]
+        finally:
+            for child in children:
+                if child.poll() is None:
+                    child.kill()
+        assert codes == [0, 0]
+        text = cache.read_text()
+        assert text.endswith("\n")
+        assert sorted(text.splitlines()) == sorted(expected)
+        store = Store(cache)
+        assert store.get("g", P("1,2"), 60, "strict").value == exact_g(P("1,2"), 60).value

@@ -22,6 +22,9 @@ def P(text):
 small_pattern = st.integers(min_value=1, max_value=4).flatmap(
     lambda k: st.permutations(list(range(1, k + 1)))
 ).map(lambda vals: Permutation(tuple(vals)))
+pattern_to_5 = st.integers(min_value=1, max_value=5).flatmap(
+    lambda k: st.permutations(list(range(1, k + 1)))
+).map(lambda vals: Permutation(tuple(vals)))
 
 point_lists = st.lists(st.integers(1, 60), min_size=1, max_size=6)
 
@@ -199,3 +202,17 @@ class TestFindWave:
             assert all(p in s for p in got.points)
             assert naive_is_wave(got.points, pi, weak)
             assert got.points == oracle_least_wave(s.elements, pi, weak)
+
+    @given(
+        st.sets(st.integers(1, 40), min_size=1, max_size=14),
+        pattern_to_5,
+        st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_interval_steps_match_oracle(self, els, pi, weak):
+        # the least wave over wide gaps, where each level's interval decides
+        s = IntSet(tuple(sorted(els)), 40)
+        got = find_wave(s, pi, "weak" if weak else "strict")
+        assert (None if got is None else got.points) == oracle_least_wave(
+            s.elements, pi, weak
+        )
