@@ -12,7 +12,11 @@ it (in [e, n]) by g(n-e+1) once e >= 2.  The closed bound is the tighter one
 on the plateaus of g, and at the root it ends the loop over least points.
 Any strictly improving set at step n must contain n itself (everything
 smaller was exhausted at step n-1), which prunes subtrees that have already
-lost n.  The reported witness is the lexicographically least optimum: the
+lost n.  From that floor on the search also looks ahead to n: including e
+drops every later candidate x that would close a wave rest + x + n whose
+first k-1 points, the top one e, are all chosen, since no improving set can
+hold both x and n (length-2 patterns keep their doubling counts instead).
+The reported witness is the lexicographically least optimum: the
 search visits subsets in lexicographic order and no cut ever removes a
 subset that could still strictly beat the incumbent.
 
@@ -270,6 +274,30 @@ class _GEngine:
             while len(self.g) <= n:
                 self._solve_next(budget)
 
+    def _table(self, e: int) -> dict[int, list[tuple[int, int]]]:
+        """``tables[e]``, built on first use."""
+        table = self.tables.get(e)
+        if table is None:
+            # the empty prefix (k = 1) has no top point; e stands in, always chosen
+            table = self.tables[e] = {}
+            for rest, completion in _prefix_completions(self.pi.values, e, self.strict):
+                top = (rest or 1 << e).bit_length() - 1
+                table.setdefault(top, []).append((rest, completion))
+        return table
+
+    def _ends(self, e: int, n: int) -> list[tuple[int, int]]:
+        """Prefixes with top point e that some x in (e, n) turns into a wave ending at n.
+
+        Each entry is ``(rest, xs)``: rest holds the first k-1 points of a wave
+        rest + x + n, and xs has the bit of every such x.
+        """
+        xs_of: dict[int, int] = {}
+        for x in range(e + 1, n):
+            for rest, completion in self._table(x).get(e, ()):
+                if completion >> n & 1:
+                    xs_of[rest] = xs_of.get(rest, 0) | 1 << x
+        return list(xs_of.items())
+
     def _solve_next(self, budget: _Budget) -> None:
         n = len(self.g)
         g = self.g
@@ -279,6 +307,10 @@ class _GEngine:
         best: tuple[int, ...] = ()
         celems: list[int] = []
         cmask = 0
+        # the length-2 patterns keep their doubling counts and build no tables up to n
+        lookahead = not (self.desc2 or self.asc2)
+        # ends[e]: _ends(e, n), built on e's first visit at or above the floor
+        ends: list[list[tuple[int, int]] | None] = [None] * (n + 1)
 
         def fail() -> None:
             known = max(g[n - 1], incumbent)
@@ -316,16 +348,20 @@ class _GEngine:
                     best = tuple(celems)
                 table = tables.get(e)
                 if table is None:
-                    # the empty prefix (k = 1) has no top point; e stands in, always chosen
-                    table = tables[e] = {}
-                    for rest, completion in _prefix_completions(self.pi.values, e, self.strict):
-                        top = (rest or 1 << e).bit_length() - 1
-                        table.setdefault(top, []).append((rest, completion))
+                    table = self._table(e)
                 dead = 0
                 for t in celems:
                     for rest, completion in table.get(t, ()):
                         if rest & cmask == rest:
                             dead |= completion
+                if lookahead and incumbent >= anchored_floor:
+                    # an improving set holds n, so no x may close a wave rest + x + n
+                    pairs = ends[e]
+                    if pairs is None:
+                        pairs = ends[e] = self._ends(e, n)
+                    for rest, xs in pairs:
+                        if rest & cmask == rest:
+                            dead |= xs
                 newcands = [x for x in cands[i + 1 :] if not dead >> x & 1]
                 if newcands and not (
                     incumbent >= anchored_floor and newcands[-1] != n

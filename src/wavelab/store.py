@@ -179,6 +179,7 @@ class Store:
                     try:
                         rec = Record.from_line(line)
                         self._verify(rec)
+                        self._check_conflict(rec)
                         self._ingest(rec)
                     except StoreError as exc:
                         raise type(exc)(f"{self.path}:{lineno}: {exc}") from None
@@ -198,16 +199,17 @@ class Store:
         else:
             rec._check_waves()
 
-    def _ingest(self, rec: Record) -> None:
-        bucket = self._records.setdefault(rec.key, [])
+    def _check_conflict(self, rec: Record) -> None:
         if rec.status == "exact":
-            for other in bucket:
+            for other in self._records.get(rec.key, ()):
                 if other.status == "exact" and other.value != rec.value:
                     raise StoreConflictError(
                         f"exact value {rec.value} conflicts with stored exact "
                         f"value {other.value} for key {rec.key}"
                     )
-        bucket.append(rec)
+
+    def _ingest(self, rec: Record) -> None:
+        self._records.setdefault(rec.key, []).append(rec)
 
     def put(self, rec: Record) -> None:
         """Verify and durably append; identical exact re-puts are no-ops."""
@@ -219,7 +221,7 @@ class Store:
                 o.status == "exact" and o.value == rec.value for o in bucket
             ):
                 return
-            self._ingest(rec)
+            self._check_conflict(rec)
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             try:
                 written = os.write(fd, data)
@@ -230,6 +232,8 @@ class Store:
                 os.fsync(fd)
             finally:
                 os.close(fd)
+            # served from memory only once the file holds it
+            self._ingest(rec)
 
     def get(
         self, kind: str, pattern: Permutation, parameter: int, mode: Mode

@@ -140,10 +140,10 @@ class TestExactG:
     # cuts fire, recorded from the engine that scanned each point's whole
     # kernel table and bounded a suffix by g(n-e) only; with the node total
     # of each ladder solved from n = 1 on a fresh engine, so that a cut
-    # switched off shows.
+    # switched off shows (node totals re-derived with the anchored look-ahead).
     CUT_LADDERS = {
         ((1, 3, 2), "weak"): (
-            20478,
+            15742,
             ["1", "1,2"] + ["1,2,3"] * 2 + ["1,2,3,5"] * 3 + ["1,3,4,5,8"]
             + ["1,2,3,5,9"] * 3 + ["1,5,7,8,9,12", "1,4,5,6,8,13"]
             + ["1,3,4,5,8,14"] * 3 + ["1,6,10,13,14,15,17"] * 3
@@ -151,7 +151,7 @@ class TestExactG:
             + ["1,9,14,18,21,22,23,25"] * 3 + ["1,5,9,12,15,26,27,28"],
         ),
         ((2, 4, 1, 3), "strict"): (
-            14119,
+            10156,
             [",".join(map(str, range(1, m + 1))) for m in range(1, 10)]
             + ["1,2,3,4,5,6,7,8,9,10"] * 2
             + ["1,2,3,4,5,6,7,9,10,11,12", "1,2,3,4,5,6,7,8,10,12,13",
@@ -172,6 +172,26 @@ class TestExactG:
                 want = tuple(int(x) for x in text.split(","))
                 r = exact_g(Permutation(vals), n, mode)
                 assert (r.value, r.witness.elements) == (len(want), want), (vals, mode, n)
+
+    # 1,3,2 strict for n = 40..48, past bench/reference.json: values and
+    # lex-least witnesses recorded from the engine without the anchored
+    # look-ahead, and the node total of a fresh engine solving up to 48,
+    # which the look-ahead cuts from 1,367,186.
+    LOOKAHEAD_LADDER = (
+        384411,
+        ["1,4,5,6,7,8,11,12,20,21,38,39"] + ["1,2,3,4,5,6,10,11,20,21,40,41"] * 5
+        + ["1,9,12,14,15,16,17,18,19,26,27,45,46"] * 2
+        + ["1,5,6,7,8,9,10,14,15,25,26,47,48"],
+    )
+
+    def test_lookahead_ladder_matches_recorded_engine(self):
+        nodes, witnesses = self.LOOKAHEAD_LADDER
+        _reset_caches()
+        assert exact_g(P("1,3,2"), 48).nodes == nodes
+        for n, text in enumerate(witnesses, start=40):
+            want = tuple(int(x) for x in text.split(","))
+            r = exact_g(P("1,3,2"), n)
+            assert (r.value, r.witness.elements) == (len(want), want), n
 
     def test_single_point_pattern(self):
         # every pair is a 1-wave; the empty prefix's completions are always live

@@ -89,6 +89,15 @@ class TestStore:
         )
         with pytest.raises(StoreConflictError):
             store.put(clash)
+        # the rejected record reached neither the file nor the index
+        assert len((tmp_path / "cache.txt").read_text().splitlines()) == 1
+        assert store.get("g", P("2,1"), 8, "strict").value == 4
+
+    def test_failed_append_is_not_served(self, tmp_path):
+        store = Store(tmp_path / "missing-dir" / "cache.txt")
+        with pytest.raises(FileNotFoundError):
+            store.put(g_record())
+        assert store.get("g", P("2,1"), 8, "strict") is None
 
     def test_identical_exact_reput_is_noop(self, tmp_path):
         path = tmp_path / "cache.txt"
