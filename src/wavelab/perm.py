@@ -233,16 +233,29 @@ def _nonfinal_big_layers(lay: tuple[tuple[int, int, int], ...]) -> int:
     return sum(1 for (_, _, size) in lay[:-1] if size >= 2)
 
 
+def _reductions(values: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The patterns the two upper-bound rules reduce to, single removal first.
+
+    Value 1 may always be dropped; values 1 and 2 together only when they
+    sit in non-adjacent positions.  Needs length >= 2.
+
+    >>> _reductions((1, 4, 2, 3))
+    [(3, 1, 2), (2, 1)]
+    >>> _reductions((2, 1, 3))
+    [(1, 2)]
+    """
+    pi = Permutation(values)
+    out = [remove_values(pi, {1}).values]
+    if abs(pi.position(1) - pi.position(2)) >= 2:
+        out.append(remove_values(pi, {1, 2}).values)
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _exponent_ub(values: tuple[int, ...]) -> int:
-    k = len(values)
-    if k == 1:
+    if len(values) == 1:
         return 0
-    pi = Permutation(values)
-    best = 1 + _exponent_ub(remove_values(pi, {1}).values)
-    if abs(pi.position(1) - pi.position(2)) >= 2:
-        best = min(best, 1 + _exponent_ub(remove_values(pi, {1, 2}).values))
-    return best
+    return 1 + min(_exponent_ub(sub) for sub in _reductions(values))
 
 
 def _split_candidates(values: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -291,7 +304,7 @@ def _exponent_lb(values: tuple[int, ...]) -> int | None:
     return best
 
 
-def classify(pi: Permutation, max_len: int = CLASSIFY_MAX_LEN) -> Classification:
+def classify(pi: Permutation) -> Classification:
     """Peak/layer structure plus the proven exponent interval for ``pi``.
 
     >>> c = classify(Permutation((4, 3, 1, 2)))
@@ -300,10 +313,10 @@ def classify(pi: Permutation, max_len: int = CLASSIFY_MAX_LEN) -> Classification
     >>> classify(Permutation((7, 8, 9, 6, 2, 3, 4, 5, 1))).exponent_ub
     6
     """
-    if len(pi) > max_len:
+    if len(pi) > CLASSIFY_MAX_LEN:
         raise ValueError(
             f"classification of length-{len(pi)} patterns exceeds the cap "
-            f"of {max_len} (the recursion is super-exponential in length)"
+            f"of {CLASSIFY_MAX_LEN} (the recursion is super-exponential in length)"
         )
     lay = layers(pi)
     return Classification(

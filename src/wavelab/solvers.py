@@ -7,9 +7,9 @@ element is admitted only if it completes no wave whose final point it is
 when the remaining universe provably cannot beat the incumbent.  Values are
 solved for n = 1, 2, ... in order, and a translate of a wave-free set is
 wave-free, so every certified g(m) with m < n bounds any m consecutive
-points: the picks after e (in (e, n]) by g(n-e), and e with the picks after
-it (in [e, n]) by g(n-e+1) once e >= 2.  The closed bound is the tighter one
-on the plateaus of g, and at the root it ends the loop over least points.
+points: e with the picks after it (in [e, n]) by g(n-e+1) once e >= 2.  At
+the root it ends the loop over least points, and as g(m+1) <= g(m) + 1 it
+cuts wherever the open bound g(n-e) on the picks in (e, n] would.
 Any strictly improving set at step n must contain n itself (everything
 smaller was exhausted at step n-1), which prunes subtrees that have already
 lost n.  From that floor on the search also looks ahead to n: including e
@@ -32,7 +32,7 @@ lets including e scan only the groups of chosen points, ORing the masks of
 the prefixes inside the chosen set into the branch's forbidden mask.
 For the two patterns of length 2 the completion rule also has a closed
 shape (every admissible next element doubles the current span, upward for
-2,1 and mirrored for 1,2), which yields an exact bound on how many elements
+2,1 and mirrored for 1,2), which counts in closed form how many elements
 can still be added; with it the certification tree for n up to a few
 hundred collapses to a few thousand nodes.
 
@@ -55,7 +55,7 @@ import math
 import threading
 from dataclasses import dataclass
 
-from .perm import Permutation, remove_values
+from .perm import Permutation, _reductions
 from .waves import IntSet, Mode, _gap_interval, _gap_pair_ok, wave_predicate
 
 __all__ = [
@@ -159,53 +159,35 @@ class ColoringResult:
 
 
 class _OutOfBudget(Exception):
-    def __init__(self, value: int, points: tuple[int, ...]):
-        self.value = value
-        self.points = points
-        super().__init__("node budget exhausted")
+    """The node budget ran out; ``_GEngine._solve_next`` attaches its best set so far."""
+
+    value = 0
+    points: tuple[int, ...] = ()
 
 
 class _Budget:
-    __slots__ = ("left", "spent")
+    __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int):
-        self.left = limit
+        self.limit = limit
         self.spent = 0
 
-    def charge(self) -> bool:
-        """Spend one node; False, spending nothing, once the budget is gone."""
-        if self.left <= 0:
-            return False
+    def charge(self) -> None:
+        """Spend one node, or raise ``_OutOfBudget`` spending nothing once none is left."""
+        if self.spent >= self.limit:
+            raise _OutOfBudget
         self.spent += 1
-        self.left -= 1
-        return True
 
 
 def _ext_doubling_up(m1: int, z: int, n: int) -> int:
-    """Exact count of elements addable above z for the 2,1 pattern.
+    """Exact count of elements addable in (z, n] for the 2,1 pattern, m1 < z.
 
     A set is free of descending-gap triples iff each element sits at least
     its distance-from-the-minimum above its predecessor, so from state
-    (min m1, last z) the cheapest continuation doubles the span each step.
+    (min m1, last z) the cheapest continuation doubles the span each step:
+    m1 + 2d, m1 + 4d, ... with d = z - m1.
     """
-    count = 0
-    last = z
-    while True:
-        nxt = 2 * last - m1 if last > m1 else last + 1
-        if nxt > n:
-            return count
-        count += 1
-        last = nxt
-
-
-def _ext_doubling_down(z: int, cap: int) -> int:
-    """Exact count of elements addable in (z, cap] for the 1,2 pattern.
-
-    Mirror image of the 2,1 rule: gaps must shrink toward the top, so a
-    chain anchored at z fits at most bit_length(cap - z) further elements.
-    """
-    span = cap - z
-    return span.bit_length() if span >= 1 else 0
+    return ((n - m1) // (z - m1)).bit_length() - 1
 
 
 def _prefix_completions(
@@ -258,7 +240,6 @@ class _GEngine:
 
     def __init__(self, pi: Permutation, mode: Mode):
         self.pi = pi
-        self.mode: Mode = mode
         self.strict = mode == "strict"
         self.g: list[int] = [0]
         self.witnesses: list[tuple[int, ...]] = [()]
@@ -312,35 +293,28 @@ class _GEngine:
         # ends[e]: _ends(e, n), built on e's first visit at or above the floor
         ends: list[list[tuple[int, int]] | None] = [None] * (n + 1)
 
-        def fail() -> None:
-            known = max(g[n - 1], incumbent)
-            pts = best if incumbent >= g[n - 1] and best else self.witnesses[n - 1]
-            raise _OutOfBudget(known, pts)
-
-        def rec(cands: list[int], vcap: int) -> None:
+        def rec(cands: list[int]) -> None:
             nonlocal incumbent, best, cmask
             csize = len(celems)
             ncands = len(cands)
             for i, e in enumerate(cands):
-                newvcap = n
-                # e and every later pick lie in [e, n], a shift of [n-e+1]
+                # e and every later pick lie in [e, n], a shift of [n-e+1]; at the
+                # root no count below cuts more than this
                 if e >= 2 and csize + g[n - e + 1] <= incumbent:
                     break
-                if self.desc2:
-                    m1 = celems[0] if celems else e
-                    if csize + 1 + _ext_doubling_up(m1, e, n) <= incumbent:
-                        if csize:
-                            break
-                        continue
-                elif self.asc2:
-                    newvcap = min(vcap, 2 * e - celems[-1]) if celems else n
-                    if csize + 1 + _ext_doubling_down(e, min(newvcap, n)) <= incumbent:
-                        continue
-                else:
-                    if csize + 1 + min(g[n - e], ncands - 1 - i) <= incumbent:
+                # the 2,1 and generic counts fall as e grows, the 1,2 one need not
+                if self.desc2 and csize:
+                    if csize + 1 + _ext_doubling_up(celems[0], e, n) <= incumbent:
                         break
-                if not budget.charge():
-                    fail()
+                elif self.asc2 and csize:
+                    # gaps shrink toward the top and the kernel dropped every x > 2b - a
+                    # for chosen a < b, so at most bit_length(cap - e) picks follow e
+                    cap = min(2 * e - celems[-1], cands[-1])
+                    if csize + 1 + (cap - e).bit_length() <= incumbent:
+                        continue
+                elif csize + ncands - i <= incumbent:
+                    break
+                budget.charge()
                 celems.append(e)
                 cmask |= 1 << e
                 if csize + 1 > incumbent:
@@ -366,11 +340,19 @@ class _GEngine:
                 if newcands and not (
                     incumbent >= anchored_floor and newcands[-1] != n
                 ):
-                    rec(newcands, newvcap)
+                    rec(newcands)
                 celems.pop()
                 cmask &= ~(1 << e)
 
-        rec(list(range(1, n + 1)), n)
+        try:
+            rec(list(range(1, n + 1)))
+        except _OutOfBudget as ex:
+            # the incumbent improves on g(n-1) only once it has set best
+            if incumbent >= g[n - 1]:
+                ex.value, ex.points = incumbent, best
+            else:
+                ex.value, ex.points = g[n - 1], self.witnesses[n - 1]
+            raise
         g.append(incumbent)
         self.witnesses.append(best)
 
@@ -384,8 +366,7 @@ def _engine_for(pi: Permutation, mode: Mode) -> _GEngine:
     with _ENGINES_LOCK:
         eng = _ENGINES.get(key)
         if eng is None:
-            eng = _GEngine(pi, mode)
-            _ENGINES[key] = eng
+            eng = _ENGINES[key] = _GEngine(pi, mode)
         return eng
 
 
@@ -417,22 +398,16 @@ def exact_g(
     try:
         engine.ensure(n, budget)
     except _OutOfBudget as ex:
-        return DensityResult(
-            pattern=pi,
-            n=n,
-            mode=mode,
-            value=ex.value,
-            witness=IntSet(ex.points, n),
-            status="lower-bound",
-            nodes=budget.spent,
-        )
+        value, points, status = ex.value, ex.points, "lower-bound"
+    else:
+        value, points, status = engine.g[n], engine.witnesses[n], "exact"
     return DensityResult(
         pattern=pi,
         n=n,
         mode=mode,
-        value=engine.g[n],
-        witness=IntSet(engine.witnesses[n], n),
-        status="exact",
+        value=value,
+        witness=IntSet(points, n),
+        status=status,
         nodes=budget.spent,
     )
 
@@ -441,19 +416,12 @@ def _wave_table_for_coloring(
     pi: Permutation, mode: Mode, m: int, by_max: list[list[int]]
 ) -> None:
     """Extend by_max with the rest-masks of waves ending at point m."""
-    k = len(pi)
     pred = wave_predicate(mode)
-    new: list[int] = []
-    if k == 1:
-        new = [1 << c for c in range(1, m)]
-    else:
-        for combo in itertools.combinations(range(1, m), k):
-            if pred(combo + (m,), pi):
-                rest = 0
-                for p in combo:
-                    rest |= 1 << p
-                new.append(rest)
-    by_max.append(new)
+    by_max.append([
+        sum(1 << p for p in combo)
+        for combo in itertools.combinations(range(1, m), len(pi))
+        if pred(combo + (m,), pi)
+    ])
 
 
 def exact_P(
@@ -476,22 +444,19 @@ def exact_P(
     budget = _Budget(node_budget)
     by_max: list[list[int]] = [[]]
     last_good: tuple[int, ...] = ()
+    status = "exact"
     M = 0
     while True:
         M += 1
         _wave_table_for_coloring(pi, mode, M, by_max)
         classmask = [0] * (r + 1)
         sol = [0] * (M + 1)
-        exhausted = True
 
         def assign(p: int, introduced: int) -> bool:
-            nonlocal exhausted
             if p > M:
                 return True
             for c in range(1, min(introduced + 1, r) + 1):
-                if not budget.charge():
-                    exhausted = False
-                    return False
+                budget.charge()
                 cm = classmask[c]
                 blocked = False
                 for rest in by_max[p]:
@@ -506,28 +471,22 @@ def exact_P(
                     classmask[c] &= ~(1 << p)
             return False
 
-        if assign(1, 0):
+        try:
+            found = assign(1, 0)
+        except _OutOfBudget:
+            found, status = False, "lower-bound"
+        if found:
             last_good = tuple(sol[1 : M + 1])
             continue
         # assign's closure refers to itself; break that cycle so by_max goes now
         del assign
-        if exhausted:
-            return ColoringResult(
-                pattern=pi,
-                r=r,
-                mode=mode,
-                value=M,
-                extremal=Coloring(last_good, r),
-                status="exact",
-                nodes=budget.spent,
-            )
         return ColoringResult(
             pattern=pi,
             r=r,
             mode=mode,
-            value=len(last_good) + 1,
+            value=M,
             extremal=Coloring(last_good, r),
-            status="lower-bound",
+            status=status,
             nodes=budget.spent,
         )
 
@@ -544,22 +503,17 @@ def recursive_upper_bound_g(pi: Permutation, n: int) -> int:
     if n < 2:
         raise ValueError("recursive upper bound needs n >= 2")
     log_n = math.log2(n)
+    factors = (SINGLE_REMOVAL_FACTOR, PAIR_REMOVAL_FACTOR)
     memo: dict[tuple[int, ...], float] = {}
 
     def u(vals: tuple[int, ...]) -> float:
         if len(vals) == 1:
             return 2.0
         got = memo.get(vals)
-        if got is not None:
-            return got
-        p = Permutation(vals)
-        bound = SINGLE_REMOVAL_FACTOR * log_n * u(remove_values(p, {1}).values)
-        if abs(p.position(1) - p.position(2)) >= 2:
-            bound = min(
-                bound,
-                PAIR_REMOVAL_FACTOR * log_n * u(remove_values(p, {1, 2}).values),
+        if got is None:
+            got = memo[vals] = min(
+                f * log_n * u(sub) for f, sub in zip(factors, _reductions(vals))
             )
-        memo[vals] = bound
-        return bound
+        return got
 
     return math.ceil(u(pi.values))

@@ -1,9 +1,17 @@
+import contextlib
 import csv
+import io
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wavelab import Permutation
 from wavelab.cli import main
 from wavelab.solvers import _reset_caches
+from wavelab.store import STORE_PATH_ENV
 
 
 def run(capsys, *argv):
@@ -243,3 +251,126 @@ class TestTable:
         )
         assert code == 0
         assert out_csv.read_bytes() == b"pattern,param,mode,value,status,witness\r\n"
+
+
+# Fuzzed command lines, kept to inputs that answer fast: n <= 30, r <= 2,
+# P only for patterns of length <= 2, g only for length <= 3, colorings of
+# at most 20 points, and every cache and CSV inside a temporary directory.
+_FILE = "@file:"  # argv token prefix: write the rest to a file, pass its path
+
+
+def _pattern(max_len):
+    """Text of a pattern of length <= max_len, or text parsing to no longer one."""
+
+    def short_enough(text):
+        try:
+            return len(Permutation.parse(text)) <= max_len
+        except ValueError:
+            return True
+
+    valid = st.integers(1, max_len).flatmap(
+        lambda k: st.permutations(range(1, k + 1))
+    ).map(lambda vals: ",".join(map(str, vals)))
+    junk = st.text(alphabet="0123456789,- x", max_size=6).filter(short_enough)
+    return st.one_of(valid, junk)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+_POINTS = st.one_of(
+    st.lists(st.integers(-1, 31), max_size=14).map(lambda xs: ",".join(map(str, xs))),
+    st.text(alphabet="0123456789,- x", max_size=8),
+)
+_COLORING = st.one_of(
+    st.lists(st.integers(0, 3), max_size=20).map(lambda cs: ",".join(map(str, cs))),
+    st.tuples(st.integers(-1, 3), st.lists(st.integers(1, 2), min_size=1, max_size=20)).map(
+        lambda t: f"palette: {t[0]}\n" + ",".join(map(str, t[1]))
+    ),
+    st.text(max_size=12),
+).map(lambda text: _FILE + text)
+_BUDGET = _ints(-1, 10**4)
+
+
+def _req(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), _req(flag, values))
+
+
+def _switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _cache():
+    return st.sampled_from([["--no-cache"], ["--cache", "cache.txt"], []])
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(lambda ps: name.split() + [t for p in ps for t in p])
+
+
+_COMMANDS = st.one_of(
+    _command("classify", _pattern(7).map(lambda p: [p])),
+    _command("classify", st.just([",".join(map(str, range(13, 0, -1)))])),
+    _command("detect", _req("--pi", _pattern(5)), _req("--seq", _POINTS), _switch("--weak")),
+    _command("search", _req("--pi", _pattern(4)), _req("--set", _POINTS),
+             _opt("--n", _ints(-1, 32)), _switch("--weak")),
+    _command("g", _req("--pi", _pattern(3)), _req("--n", _ints(-1, 30)), _switch("--weak"),
+             _cache(), _opt("--node-budget", _BUDGET)),
+    _command("p", _req("--pi", _pattern(2)), _req("--r", _ints(-1, 2)), _switch("--weak"),
+             _cache(), _opt("--node-budget", _BUDGET)),
+    _command("table --kind g", _req("--pi", _pattern(3)), _req("--max", _ints(-1, 30)),
+             _switch("--weak"), _req("--csv", st.sampled_from(["t.csv", "no/such/t.csv"])),
+             _cache(), _opt("--node-budget", _BUDGET)),
+    _command("table --kind p", _req("--pi", _pattern(2)), _req("--max", _ints(-1, 2)),
+             _switch("--weak"), _req("--csv", st.just("t.csv")), _cache()),
+    _command("bound", _req("--pi", _pattern(7)), _req("--n", _ints(-1, 10**12))),
+    _command("extract", _req("--pi", _pattern(4)), _req("--set", _POINTS),
+             _opt("--n", _ints(-1, 32)), _switch("--strong"), _switch("--trace")),
+    _command("construct ezconst", _req("--pi", _pattern(3)), _req("--c0", _COLORING),
+             _req("--c0p", _COLORING), _opt("--palette", _ints(-1, 3)), _switch("--weak"),
+             _opt("--out", st.just("out.txt"))),
+    _command("construct product", _req("--pi-left", _pattern(3)),
+             _req("--pi-right", _pattern(3)), _req("--m", _ints(-1, 2)),
+             _req("--cl", _COLORING), _req("--cr", _COLORING)),
+    _command("verify", _req("--coloring", _COLORING), _req("--pi", _pattern(4)),
+             _opt("--palette", _ints(-1, 3)), _switch("--weak")),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command line, now and then with one token dropped or one junk token added."""
+    argv = draw(_COMMANDS)
+    edit = draw(st.sampled_from(["keep"] * 8 + ["drop", "add"]))
+    if edit == "drop":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif edit == "add":
+        junk = draw(st.sampled_from(["--bogus", "--n", "-1", "--weak", "x", "", "--help"]))
+        argv.insert(draw(st.integers(0, len(argv))), junk)
+    return argv
+
+
+class TestFuzz:
+    @given(_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_status_and_no_traceback(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, tok in enumerate(argv):
+                if tok.startswith(_FILE):
+                    argv[i] = os.path.join(tmp, f"coloring{i}.txt")
+                    with open(argv[i], "w", encoding="utf-8") as fh:
+                        fh.write(tok[len(_FILE):])
+                elif tok in ("cache.txt", "t.csv", "no/such/t.csv", "out.txt"):
+                    argv[i] = os.path.join(tmp, tok)
+            out, err = io.StringIO(), io.StringIO()
+            env = {STORE_PATH_ENV: os.path.join(tmp, "env-cache.txt")}
+            with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv

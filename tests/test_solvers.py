@@ -173,6 +173,20 @@ class TestExactG:
                 r = exact_g(Permutation(vals), n, mode)
                 assert (r.value, r.witness.elements) == (len(want), want), (vals, mode, n)
 
+    # The length-2 patterns are solved by their closed-form doubling counts:
+    # the node total of a fresh engine solving strict n = 1..256, recorded
+    # from the engine that counted the 2,1 doublings one step at a time and
+    # capped the 1,2 chain with the gaps of every chosen pair.
+    LENGTH_TWO_NODES = {(2, 1): 2049, (1, 2): 2076}
+
+    def test_length_two_ladders_match_recorded_engine(self):
+        for vals, nodes in self.LENGTH_TWO_NODES.items():
+            _reset_caches()
+            assert exact_g(Permutation(vals), 256).nodes == nodes, vals
+            for n in range(2, 257):
+                r = exact_g(Permutation(vals), n)
+                assert r.value == math.floor(math.log2(n - 1)) + 2, (vals, n)
+
     # 1,3,2 strict for n = 40..48, past bench/reference.json: values and
     # lex-least witnesses recorded from the engine without the anchored
     # look-ahead, and the node total of a fresh engine solving up to 48,
