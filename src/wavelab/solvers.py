@@ -10,26 +10,32 @@ wave-free, so every certified g(m) with m < n bounds any m consecutive
 points: e with the picks after it (in [e, n]) by g(n-e+1) once e >= 2.  At
 the root it ends the loop over least points, and as g(m+1) <= g(m) + 1 it
 cuts wherever the open bound g(n-e) on the picks in (e, n] would.
-Any strictly improving set at step n must contain n itself (everything
-smaller was exhausted at step n-1), which prunes subtrees that have already
-lost n.  From that floor on the search also looks ahead to n: including e
-drops every later candidate x that would close a wave rest + x + n whose
-first k-1 points, the top one e, are all chosen, since no improving set can
-hold both x and n (length-2 patterns keep their doubling counts instead).
-The reported witness is the lexicographically least optimum: the
-search visits subsets in lexicographic order and no cut ever removes a
-subset that could still strictly beat the incumbent.
+Each step starts from the answer certified for n-1: its value is the
+incumbent and its lex-least witness the best set.  A wave-free set of that
+size without n lies in [n-1], so none comes before the witness in lex
+order; until the search passes the witness, a set of the same size (a tie)
+also wins, and it must hold n.  Every larger set holds n too, so subtrees
+that have lost n are pruned and from the first node the search looks ahead
+to n: including e drops every later candidate x that would close a wave
+rest + x + n whose first k-1 points, the top one e, are all chosen
+(length-2 patterns keep their doubling counts instead).  While a tie can
+still win, every cut compares against one point less than the incumbent.
+The reported witness is the lexicographically least optimum: the search
+visits subsets in lexicographic order and no cut ever removes a subset
+that could still win.
 
 Which candidates would complete a wave is answered by one kernel,
 ``_prefix_completions``: for a point e it lists every k-point prefix
-w_1 < ... < w_{k-1} < e whose gaps relate as pi(1..k-1) do, together with
-the bitmask of the final points x > e that complete it to a wave.  Those
-are exactly the points whose last gap x - e lies between the largest
-prefix gap with a smaller pi-value and the smallest with a larger one (open
-interval in strict mode, closed in weak mode), so each prefix costs one
-mask whatever the universe.  Grouped by the top point w_{k-1}, the list
-lets including e scan only the groups of chosen points, ORing the masks of
-the prefixes inside the chosen set into the branch's forbidden mask.
+w_1 < ... < w_{k-1} < e whose gaps relate as pi(1..k-1) do, each as one
+mask of the wave's other points: the w's below e and, above e, the final
+points x that complete it to a wave.  Those are exactly the points whose
+last gap x - e lies between the largest prefix gap with a smaller pi-value
+and the smallest with a larger one (open interval in strict mode, closed
+in weak mode), so each prefix costs one int whatever the universe.
+Grouped by the top point w_{k-1}, the list lets including e scan only the
+groups of chosen points, ORing into the branch's forbidden mask every mask
+with no unchosen point below e (the bits below e that come along are
+harmless, since only candidates above e are filtered).
 For the two patterns of length 2 the completion rule also has a closed
 shape (every admissible next element doubles the current span, upward for
 2,1 and mirrored for 1,2), which counts in closed form how many elements
@@ -190,36 +196,36 @@ def _ext_doubling_up(m1: int, z: int, n: int) -> int:
     return ((n - m1) // (z - m1)).bit_length() - 1
 
 
-def _prefix_completions(
-    vals: tuple[int, ...], e: int, strict: bool
-) -> list[tuple[int, int]]:
-    """Every order-compatible prefix ending at e, as (rest, completion) masks.
+def _prefix_completions(vals: tuple[int, ...], e: int, strict: bool) -> list[int]:
+    """Every order-compatible prefix ending at e, as one mask of its wave's other points.
 
     A prefix is w_1 < ... < w_{k-1} < e whose gaps relate pairwise as
-    vals[:k-1] do; ``rest`` has the bits of the w's.  ``completion`` has the
-    bit of every x > e such that prefix + (x,) is a wave: its last gap lies
+    vals[:k-1] do.  Its mask has the bits of the w's below e and, above e,
+    the bit of every x such that prefix + (x,) is a wave: its last gap lies
     in ``_gap_interval`` of the prefix gaps, strictly (strict mode) or
     weakly (weak mode) between ``lo``, the largest prefix gap whose value is
     below vals[-1], and ``hi``, the smallest whose value is above it.  With
     no ``hi`` the mask is negative, i.e. it runs on forever, so it never
     depends on the universe.  Prefixes no point completes are left out.
     For 2,1 at e = 4, (3, 4) has no completion, (2, 4) completes at 5 and
-    (1, 4) at 5 or 6:
+    (1, 4) at 5 or 6; split at e, each mask reads (prefix, completions):
 
-    >>> [(bin(r), bin(c)) for r, c in _prefix_completions((2, 1), 4, True)]
+    >>> e = 4
+    >>> masks = _prefix_completions((2, 1), e, True)
+    >>> [(bin(m & (1 << e) - 1), bin(m >> e << e)) for m in masks]
     [('0b100', '0b100000'), ('0b10', '0b1100000')]
     """
     k = len(vals)
     gaps = [0] * (k - 1)
-    out: list[tuple[int, int]] = []
+    out: list[int] = []
 
     def down(i: int, upper: int, rest: int) -> None:
         if i < 0:
             first, last = _gap_interval(vals, gaps, strict)
             if last is None:
-                out.append((rest, -(1 << e + first)))
+                out.append(rest | -(1 << e + first))
             elif last >= first:
-                out.append((rest, (1 << e + last + 1) - (1 << e + first)))
+                out.append(rest | (1 << e + last + 1) - (1 << e + first))
             return
         # gap i runs from w_{i+1} up to upper; w_{i+1} >= i + 1 leaves room below
         for w in range(upper - 1, i, -1):
@@ -245,7 +251,7 @@ class _GEngine:
         self.witnesses: list[tuple[int, ...]] = [()]
         # tables[e]: _prefix_completions of e grouped by the prefix's top point,
         # built when the search reaches e
-        self.tables: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        self.tables: dict[int, dict[int, list[int]]] = {}
         self.desc2 = self.strict and pi.values == (2, 1)
         self.asc2 = self.strict and pi.values == (1, 2)
         self.lock = threading.Lock()
@@ -255,91 +261,103 @@ class _GEngine:
             while len(self.g) <= n:
                 self._solve_next(budget)
 
-    def _table(self, e: int) -> dict[int, list[tuple[int, int]]]:
-        """``tables[e]``, built on first use."""
+    def _table(self, e: int) -> dict[int, list[int]]:
+        """``tables[e]``: the masks of ``_prefix_completions`` by the prefix's top point."""
         table = self.tables.get(e)
         if table is None:
             # the empty prefix (k = 1) has no top point; e stands in, always chosen
             table = self.tables[e] = {}
-            for rest, completion in _prefix_completions(self.pi.values, e, self.strict):
-                top = (rest or 1 << e).bit_length() - 1
-                table.setdefault(top, []).append((rest, completion))
+            below = (1 << e) - 1
+            for wave in _prefix_completions(self.pi.values, e, self.strict):
+                top = (wave & below or 1 << e).bit_length() - 1
+                table.setdefault(top, []).append(wave)
         return table
 
-    def _ends(self, e: int, n: int) -> list[tuple[int, int]]:
-        """Prefixes with top point e that some x in (e, n) turns into a wave ending at n.
+    def _ends(self, e: int, n: int) -> list[int]:
+        """Waves rest + x + n with x in (e, n) whose first k-1 points top out at e.
 
-        Each entry is ``(rest, xs)``: rest holds the first k-1 points of a wave
-        rest + x + n, and xs has the bit of every such x.
+        Each entry is one mask, ``rest | xs``: rest holds the first k-1 points
+        (e the highest) and xs, above e, the bit of every such x.
         """
         xs_of: dict[int, int] = {}
         for x in range(e + 1, n):
-            for rest, completion in self._table(x).get(e, ()):
-                if completion >> n & 1:
+            below = (1 << x) - 1
+            for wave in self._table(x).get(e, ()):
+                if wave >> n & 1:
+                    rest = wave & below
                     xs_of[rest] = xs_of.get(rest, 0) | 1 << x
-        return list(xs_of.items())
+        return [rest | xs for rest, xs in xs_of.items()]
 
     def _solve_next(self, budget: _Budget) -> None:
         n = len(self.g)
         g = self.g
         tables = self.tables
-        incumbent = g[n - 1] - 1
-        anchored_floor = g[n - 1]
-        best: tuple[int, ...] = ()
+        # start from the certified answer for n-1; while tie is set, a set of
+        # g(n-1) points that comes before its witness in lex order also wins
+        incumbent = g[n - 1]
+        best = self.witnesses[n - 1]
+        prev = list(best)
+        tie = 1
         celems: list[int] = []
         cmask = 0
         # the length-2 patterns keep their doubling counts and build no tables up to n
         lookahead = not (self.desc2 or self.asc2)
-        # ends[e]: _ends(e, n), built on e's first visit at or above the floor
-        ends: list[list[tuple[int, int]] | None] = [None] * (n + 1)
+        # ends[e]: _ends(e, n), built on e's first visit
+        ends: list[list[int] | None] = [None] * (n + 1)
 
         def rec(cands: list[int]) -> None:
-            nonlocal incumbent, best, cmask
+            nonlocal incumbent, best, cmask, tie
             csize = len(celems)
             ncands = len(cands)
             for i, e in enumerate(cands):
+                # a branch survives only if it can still beat incumbent - tie points
+                beat = incumbent - tie
                 # e and every later pick lie in [e, n], a shift of [n-e+1]; at the
                 # root no count below cuts more than this
-                if e >= 2 and csize + g[n - e + 1] <= incumbent:
+                if e >= 2 and csize + g[n - e + 1] <= beat:
                     break
                 # the 2,1 and generic counts fall as e grows, the 1,2 one need not
                 if self.desc2 and csize:
-                    if csize + 1 + _ext_doubling_up(celems[0], e, n) <= incumbent:
+                    if csize + 1 + _ext_doubling_up(celems[0], e, n) <= beat:
                         break
                 elif self.asc2 and csize:
                     # gaps shrink toward the top and the kernel dropped every x > 2b - a
                     # for chosen a < b, so at most bit_length(cap - e) picks follow e
                     cap = min(2 * e - celems[-1], cands[-1])
-                    if csize + 1 + (cap - e).bit_length() <= incumbent:
+                    if csize + 1 + (cap - e).bit_length() <= beat:
                         continue
-                elif csize + ncands - i <= incumbent:
+                elif csize + ncands - i <= beat:
                     break
                 budget.charge()
                 celems.append(e)
                 cmask |= 1 << e
-                if csize + 1 > incumbent:
+                # from g(n-1)'s witness on in lex order only a larger set wins
+                if tie and celems >= prev:
+                    tie = 0
+                if csize + 1 > incumbent - tie:
                     incumbent = csize + 1
                     best = tuple(celems)
+                    tie = 0
                 table = tables.get(e)
                 if table is None:
                     table = self._table(e)
+                # a wave is live when every point it has below e is chosen
+                free = ((1 << e) - 1) & ~cmask
                 dead = 0
                 for t in celems:
-                    for rest, completion in table.get(t, ()):
-                        if rest & cmask == rest:
-                            dead |= completion
-                if lookahead and incumbent >= anchored_floor:
-                    # an improving set holds n, so no x may close a wave rest + x + n
-                    pairs = ends[e]
-                    if pairs is None:
-                        pairs = ends[e] = self._ends(e, n)
-                    for rest, xs in pairs:
-                        if rest & cmask == rest:
-                            dead |= xs
+                    for wave in table.get(t, ()):
+                        if not wave & free:
+                            dead |= wave
+                if lookahead:
+                    # every winning set holds n, so no x may close a wave rest + x + n
+                    waves = ends[e]
+                    if waves is None:
+                        waves = ends[e] = self._ends(e, n)
+                    for wave in waves:
+                        if not wave & free:
+                            dead |= wave
                 newcands = [x for x in cands[i + 1 :] if not dead >> x & 1]
-                if newcands and not (
-                    incumbent >= anchored_floor and newcands[-1] != n
-                ):
+                if newcands and newcands[-1] == n:
                     rec(newcands)
                 celems.pop()
                 cmask &= ~(1 << e)
@@ -347,11 +365,7 @@ class _GEngine:
         try:
             rec(list(range(1, n + 1)))
         except _OutOfBudget as ex:
-            # the incumbent improves on g(n-1) only once it has set best
-            if incumbent >= g[n - 1]:
-                ex.value, ex.points = incumbent, best
-            else:
-                ex.value, ex.points = g[n - 1], self.witnesses[n - 1]
+            ex.value, ex.points = incumbent, best
             raise
         g.append(incumbent)
         self.witnesses.append(best)

@@ -19,12 +19,18 @@ runs the wave search once per distinct (pattern, mode, gaps) shape of a
 density witness, on load and on ``put`` alike, and every further record of
 that shape reuses the answer.  The other checks (universe, size against
 value, and for colorings everything) still run on every record.
+
+Every line a ``put`` writes ends in a newline, so an unterminated last line
+is a write that a crash tore off.  Loading skips it with a warning, and the
+next ``put`` cuts it off before appending.  Any other bad line is fatal.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import threading
+import warnings
 from dataclasses import dataclass
 
 from .constructions import verify_coloring_wave_free
@@ -155,13 +161,28 @@ class Record:
             raise StoreError(f"bad witness in record {line!r}: {exc}") from None
 
 
+def _cut_torn_tail(fd: int) -> None:
+    """Truncate the file behind fd after its last newline (the caller holds its lock)."""
+    end = pos = os.fstat(fd).st_size
+    while pos:
+        start = max(0, pos - 4096)
+        newline = os.pread(fd, pos - start, start).rfind(b"\n")
+        if newline >= 0:
+            pos = start + newline + 1
+            break
+        pos = start
+    if pos < end:
+        os.ftruncate(fd, pos)
+
+
 class Store:
     """Append-only record file with an in-memory index.
 
     Each put appends its whole line with a single ``write`` on an
-    ``O_APPEND`` descriptor and syncs it, so puts from several threads or
+    ``O_APPEND`` descriptor and syncs it, holding an exclusive ``flock``
+    from the torn-line check to the sync, so puts from several threads or
     processes land as whole lines.  Loading verifies every record and
-    rejects the file on the first bad one.
+    rejects the file on the first bad one, except a torn last line.
     """
 
     def __init__(self, path: str | os.PathLike[str]):
@@ -171,8 +192,15 @@ class Store:
         # (pattern values, mode, gaps) of density witnesses found wave-free
         self._wave_free: set[tuple] = set()
         if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
+            # only "\n" ends a line, as in the byte check of _cut_torn_tail
+            with open(self.path, "r", encoding="utf-8", newline="\n") as fh:
                 for lineno, line in enumerate(fh, start=1):
+                    if not line.endswith("\n"):
+                        warnings.warn(
+                            f"{self.path}:{lineno}: skipping torn last line {line!r}",
+                            stacklevel=2,
+                        )
+                        break
                     line = line.strip()
                     if not line or line.startswith("#"):
                         continue
@@ -222,8 +250,11 @@ class Store:
             ):
                 return
             self._check_conflict(rec)
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
             try:
+                # closing fd releases the lock
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                _cut_torn_tail(fd)
                 written = os.write(fd, data)
                 if written != len(data):
                     raise OSError(

@@ -152,6 +152,20 @@ class TestCache:
         assert "lower-bound" not in text
         assert len(text.splitlines()) == sum(1 for r in rows if r[4] == "exact")
 
+    def test_torn_last_line_does_not_brick_the_cache(self, capsys, tmp_path):
+        cache = tmp_path / "c.txt"
+        first = run(capsys, "g", "--pi", "2,1", "--n", "8", "--cache", str(cache))
+        with open(cache, "a") as fh:
+            fh.write("g 2,1 9 strict 5 ex")
+        with pytest.warns(UserWarning, match="torn"):
+            assert run(capsys, "g", "--pi", "2,1", "--n", "8", "--cache", str(cache)) == first
+        with pytest.warns(UserWarning, match="torn"):
+            code, out, _ = run(capsys, "g", "--pi", "2,1", "--n", "9", "--cache", str(cache))
+        assert (code, out) == (0, "5\n1,2,3,5,9\n")
+        assert cache.read_text().splitlines() == [
+            "g 2,1 8 strict 4 exact 1,2,3,5", "g 2,1 9 strict 5 exact 1,2,3,5,9"
+        ]
+
     def test_env_var_cache_path(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env-cache.txt"
         monkeypatch.setenv("WAVELAB_CACHE", str(cache))

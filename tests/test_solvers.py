@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import S2, S3, all_patterns, naive_is_wave, oracle_g, oracle_p
 from wavelab import Coloring, Permutation, exact_P, exact_g, recursive_upper_bound_g, reverse
-from wavelab.solvers import _prefix_completions, _reset_caches
+from wavelab.solvers import _GEngine, _prefix_completions, _reset_caches
 
 
 def P(text):
@@ -140,10 +140,11 @@ class TestExactG:
     # cuts fire, recorded from the engine that scanned each point's whole
     # kernel table and bounded a suffix by g(n-e) only; with the node total
     # of each ladder solved from n = 1 on a fresh engine, so that a cut
-    # switched off shows (node totals re-derived with the anchored look-ahead).
+    # switched off shows (node totals re-derived with each step started from
+    # g(n-1)'s witness).
     CUT_LADDERS = {
         ((1, 3, 2), "weak"): (
-            15742,
+            3175,
             ["1", "1,2"] + ["1,2,3"] * 2 + ["1,2,3,5"] * 3 + ["1,3,4,5,8"]
             + ["1,2,3,5,9"] * 3 + ["1,5,7,8,9,12", "1,4,5,6,8,13"]
             + ["1,3,4,5,8,14"] * 3 + ["1,6,10,13,14,15,17"] * 3
@@ -151,7 +152,7 @@ class TestExactG:
             + ["1,9,14,18,21,22,23,25"] * 3 + ["1,5,9,12,15,26,27,28"],
         ),
         ((2, 4, 1, 3), "strict"): (
-            10156,
+            10127,
             [",".join(map(str, range(1, m + 1))) for m in range(1, 10)]
             + ["1,2,3,4,5,6,7,8,9,10"] * 2
             + ["1,2,3,4,5,6,7,9,10,11,12", "1,2,3,4,5,6,7,8,10,12,13",
@@ -176,8 +177,9 @@ class TestExactG:
     # The length-2 patterns are solved by their closed-form doubling counts:
     # the node total of a fresh engine solving strict n = 1..256, recorded
     # from the engine that counted the 2,1 doublings one step at a time and
-    # capped the 1,2 chain with the gaps of every chosen pair.
-    LENGTH_TWO_NODES = {(2, 1): 2049, (1, 2): 2076}
+    # capped the 1,2 chain with the gaps of every chosen pair (1,2 re-derived
+    # with each step started from g(n-1)'s witness).
+    LENGTH_TWO_NODES = {(2, 1): 2049, (1, 2): 797}
 
     def test_length_two_ladders_match_recorded_engine(self):
         for vals, nodes in self.LENGTH_TWO_NODES.items():
@@ -190,9 +192,10 @@ class TestExactG:
     # 1,3,2 strict for n = 40..48, past bench/reference.json: values and
     # lex-least witnesses recorded from the engine without the anchored
     # look-ahead, and the node total of a fresh engine solving up to 48,
-    # which the look-ahead cuts from 1,367,186.
+    # which the look-ahead cut from 1,367,186 to 384,411 and starting each
+    # step from g(n-1)'s witness cuts further.
     LOOKAHEAD_LADDER = (
-        384411,
+        68721,
         ["1,4,5,6,7,8,11,12,20,21,38,39"] + ["1,2,3,4,5,6,10,11,20,21,40,41"] * 5
         + ["1,9,12,14,15,16,17,18,19,26,27,45,46"] * 2
         + ["1,5,6,7,8,9,10,14,15,25,26,47,48"],
@@ -350,9 +353,26 @@ class TestPrefixCompletions:
             if mask:
                 want[sum(1 << w for w in ws)] = mask
         got = _prefix_completions(pi.values, e, not weak)
+        # each mask splits at e into the prefix below and its completions above
+        below = (1 << e) - 1
         window = (1 << top + 1) - 1
-        assert len({rest for rest, _ in got}) == len(got)
-        assert {rest: completion & window for rest, completion in got} == want
+        assert len({mask & below for mask in got}) == len(got)
+        assert {mask & below: mask >> e << e & window for mask in got} == want
+
+    def test_tables_stay_small(self):
+        import tracemalloc
+
+        # the 1,3,2 frontier ladder of the density benchmark builds these within
+        # its 15 s; at about 0.9 MB they leave its peak-memory bound room
+        engine = _GEngine(P("1,3,2"), "strict")
+        tracemalloc.start()
+        try:
+            for e in range(1, 61):
+                engine._table(e)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size < 1 << 20
 
 
 class TestRecursiveUpperBound:

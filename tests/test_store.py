@@ -1,7 +1,10 @@
+import fcntl
 import os
 import subprocess
 import sys
+import threading
 import time
+import warnings
 
 import pytest
 
@@ -147,6 +150,64 @@ class TestStore:
         assert Store(path).get("g", P("2,1"), 8, "strict").value == 4
 
 
+class TestTornTail:
+    """An unterminated last line is a torn write: skipped on load, cut off by put."""
+
+    TORN = "g 2,1 9 strict 5 ex"
+
+    def test_load_skips_it_with_one_warning(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text(g_record().to_line() + "\n" + self.TORN)
+        with pytest.warns(UserWarning, match=r"cache.txt:2: skipping torn last line") as seen:
+            store = Store(path)
+        assert len(seen) == 1
+        assert store.get("g", P("2,1"), 8, "strict").value == 4
+        assert store.get("g", P("2,1"), 9, "strict") is None
+
+    # a long tail spans several of the blocks read back from the end
+    @pytest.mark.parametrize("tail", [TORN, "p 1 5000 strict 5001 exact " + "1," * 4000])
+    @pytest.mark.parametrize("whole", [0, 1])
+    def test_put_cuts_it_off(self, tmp_path, tail, whole):
+        path = tmp_path / "cache.txt"
+        path.write_text(g_record().to_line() + "\n" if whole else "")
+        with open(path, "a") as fh:
+            fh.write(tail)
+        with pytest.warns(UserWarning):
+            store = Store(path)
+        store.put(g_record("2,1", 9))
+        lines = [g_record().to_line()] * whole + [g_record("2,1", 9).to_line()]
+        assert path.read_text() == "\n".join(lines) + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Store(path).get("g", P("2,1"), 9, "strict").value == 5
+
+    def test_put_waits_for_a_line_being_written(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        store = Store(path)
+        line = g_record().to_line() + "\n"
+        # another writer holds the lock halfway through its line
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            os.write(fd, line[:10].encode())
+            put = threading.Thread(target=store.put, args=(g_record("2,1", 9),))
+            put.start()
+            put.join(0.3)
+            assert put.is_alive()
+            os.write(fd, line[10:].encode())
+        finally:
+            os.close(fd)
+        put.join(10)
+        assert not put.is_alive()
+        assert path.read_text() == line + g_record("2,1", 9).to_line() + "\n"
+
+    def test_terminated_bad_line_stays_fatal(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text(self.TORN + "\n" + g_record().to_line())
+        with pytest.raises(StoreError, match=":1: expected 7 fields"):
+            Store(path)
+
+
 class TestShapeMemo:
     """A wave search shared by translates must not let a bad record through."""
 
@@ -198,6 +259,14 @@ class TestShapeMemo:
         assert len(calls) == 2
 
 
+def _child_env():
+    """The environment with this checkout's wavelab first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(wavelab.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+
+
 _PUT_CHILD = """
 import os, sys, time
 from wavelab import Record, Store
@@ -220,10 +289,7 @@ class TestConcurrentWriters:
     def test_two_processes_append_whole_lines(self, tmp_path):
         cache = tmp_path / "cache.txt"
         go = tmp_path / "go"
-        src = os.path.dirname(os.path.dirname(wavelab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
+        env = _child_env()
         expected, readies, children = [], [], []
         for pattern in ("2,1", "1,2"):
             lines = [g_record(pattern, n).to_line() for n in range(1, 61)]
@@ -253,3 +319,34 @@ class TestConcurrentWriters:
         assert sorted(text.splitlines()) == sorted(expected)
         store = Store(cache)
         assert store.get("g", P("1,2"), 60, "strict").value == exact_g(P("1,2"), 60).value
+
+    def test_two_table_processes_share_a_torn_cache(self, tmp_path):
+        cache = tmp_path / "cache.txt"
+        cache.write_text(TestTornTail.TORN)
+        env = _child_env()
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-m", "wavelab.cli", "table", "--kind", "g", "--pi", pattern,
+                 "--max", "60", "--csv", str(tmp_path / f"{pattern}.csv"), "--cache", str(cache)],
+                env=env, stderr=subprocess.PIPE, text=True,
+            )
+            for pattern in ("2,1", "1,2")
+        ]
+        results = []
+        try:
+            for child in children:
+                _, err = child.communicate(timeout=120)
+                results.append((child.returncode, err))
+        finally:
+            for child in children:
+                if child.poll() is None:
+                    child.kill()
+        # each skips the torn line if it loads before the first put cuts it
+        assert [code for code, _ in results] == [0, 0]
+        assert all("Traceback" not in err for _, err in results)
+        expected = [
+            g_record(pattern, n).to_line() for pattern in ("2,1", "1,2") for n in range(1, 61)
+        ]
+        text = cache.read_text()
+        assert text.endswith("\n")
+        assert sorted(text.splitlines()) == sorted(expected)
