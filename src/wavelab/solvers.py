@@ -17,9 +17,16 @@ order; until the search passes the witness, a set of the same size (a tie)
 also wins, and it must hold n.  Every larger set holds n too, so subtrees
 that have lost n are pruned and from the first node the search looks ahead
 to n: including e drops every later candidate x that would close a wave
-rest + x + n whose first k-1 points, the top one e, are all chosen
-(length-2 patterns keep their doubling counts instead).  While a tie can
-still win, every cut compares against one point less than the incumbent.
+rest + x + n whose first k-1 points, the top one e, are all chosen (the
+strict length-2 patterns keep their doubling counts instead, and for k = 1
+no wave has such a rest).  Where the look-ahead runs, no chosen point ever
+completes a wave that ends at n, since it was dropped when the top of that
+wave's first k-1 points was chosen, so n is never dropped; the pruning of
+branches that have lost n serves the patterns without the look-ahead.
+While a tie can still win, every cut compares against one point less than
+the incumbent.  A branch carries its candidates as one int, bit x set while
+x is still a candidate: the next point is its lowest bit, the generic count
+adds its bit count, and the points a choice forbids leave with one AND.
 The reported witness is the lexicographically least optimum: the search
 visits subsets in lexicographic order and no cut ever removes a subset
 that could still win.
@@ -31,7 +38,10 @@ mask of the wave's other points: the w's below e and, above e, the final
 points x that complete it to a wave.  Those are exactly the points whose
 last gap x - e lies between the largest prefix gap with a smaller pi-value
 and the smallest with a larger one (open interval in strict mode, closed
-in weak mode), so each prefix costs one int whatever the universe.
+in weak mode), so each prefix costs one int whatever the universe.  The
+prefixes are built from e downward, each gap stepped through the interval
+that ``_gap_interval`` leaves it given the gaps above it, as ``find_wave``
+steps, so no prefix that fails the pattern is ever built.
 Grouped by the top point w_{k-1}, the list lets including e scan only the
 groups of chosen points, ORing into the branch's forbidden mask every mask
 with no unchosen point below e (the bits below e that come along are
@@ -62,7 +72,7 @@ import threading
 from dataclasses import dataclass
 
 from .perm import Permutation, _reductions
-from .waves import IntSet, Mode, _gap_interval, _gap_pair_ok, wave_predicate
+from .waves import IntSet, Mode, _gap_interval, wave_predicate
 
 __all__ = [
     "Coloring",
@@ -200,13 +210,17 @@ def _prefix_completions(vals: tuple[int, ...], e: int, strict: bool) -> list[int
     """Every order-compatible prefix ending at e, as one mask of its wave's other points.
 
     A prefix is w_1 < ... < w_{k-1} < e whose gaps relate pairwise as
-    vals[:k-1] do.  Its mask has the bits of the w's below e and, above e,
-    the bit of every x such that prefix + (x,) is a wave: its last gap lies
-    in ``_gap_interval`` of the prefix gaps, strictly (strict mode) or
-    weakly (weak mode) between ``lo``, the largest prefix gap whose value is
-    below vals[-1], and ``hi``, the smallest whose value is above it.  With
-    no ``hi`` the mask is negative, i.e. it runs on forever, so it never
-    depends on the universe.  Prefixes no point completes are left out.
+    vals[:k-1] do.  The prefixes are built from e downward: each gap takes
+    only the values that ``_gap_interval`` allows against the gaps above
+    it, smallest first, so the prefixes come out with w_{k-1} descending,
+    then w_{k-2}, and so on.  Its mask has the bits of the w's below e and,
+    above e, the bit of every x such that prefix + (x,) is a wave: its last
+    gap lies in ``_gap_interval`` of the prefix gaps, strictly (strict mode)
+    or weakly (weak mode) between ``lo``, the largest prefix gap whose value
+    is below vals[-1], and ``hi``, the smallest whose value is above it.
+    With no ``hi`` the mask is negative, i.e. it runs on forever, so it
+    never depends on the universe.  Prefixes no point completes are left
+    out.
     For 2,1 at e = 4, (3, 4) has no completion, (2, 4) completes at 5 and
     (1, 4) at 5 or 6; split at e, each mask reads (prefix, completions):
 
@@ -216,26 +230,28 @@ def _prefix_completions(vals: tuple[int, ...], e: int, strict: bool) -> list[int
     [('0b100', '0b100000'), ('0b10', '0b1100000')]
     """
     k = len(vals)
-    gaps = [0] * (k - 1)
+    # gaps are set from the top one down; listed in that order, they pair with
+    # vals[k-2], ..., vals[0], and the last gap's pi-value follows them
+    order = vals[-2::-1] + vals[-1:]
+    gaps: list[int] = []
     out: list[int] = []
 
     def down(i: int, upper: int, rest: int) -> None:
+        first, last = _gap_interval(order, gaps, strict)
         if i < 0:
-            first, last = _gap_interval(vals, gaps, strict)
             if last is None:
                 out.append(rest | -(1 << e + first))
             elif last >= first:
                 out.append(rest | (1 << e + last + 1) - (1 << e + first))
             return
         # gap i runs from w_{i+1} up to upper; w_{i+1} >= i + 1 leaves room below
-        for w in range(upper - 1, i, -1):
-            d = upper - w
-            if all(
-                _gap_pair_ok(vals[i], vals[j], d, gaps[j], strict)
-                for j in range(i + 1, k - 1)
-            ):
-                gaps[i] = d
-                down(i - 1, w, rest | 1 << w)
+        top = upper - i - 1
+        if last is None or last > top:
+            last = top
+        for d in range(first, last + 1):
+            gaps.append(d)
+            down(i - 1, upper - d, rest | 1 << upper - d)
+            gaps.pop()
 
     down(k - 2, e, 0)
     return out
@@ -292,6 +308,7 @@ class _GEngine:
         n = len(self.g)
         g = self.g
         tables = self.tables
+        desc2, asc2 = self.desc2, self.asc2
         # start from the certified answer for n-1; while tie is set, a set of
         # g(n-1) points that comes before its witness in lex order also wins
         incumbent = g[n - 1]
@@ -300,16 +317,20 @@ class _GEngine:
         tie = 1
         celems: list[int] = []
         cmask = 0
-        # the length-2 patterns keep their doubling counts and build no tables up to n
-        lookahead = not (self.desc2 or self.asc2)
+        # the strict length-2 patterns keep their doubling counts and build no
+        # tables up to n; for k = 1 a wave's first k-1 points are empty, so no
+        # chosen point tops them
+        lookahead = len(self.pi) >= 2 and not (desc2 or asc2)
         # ends[e]: _ends(e, n), built on e's first visit
-        ends: list[list[int] | None] = [None] * (n + 1)
+        ends: dict[int, list[int]] = {}
 
-        def rec(cands: list[int]) -> None:
+        def rec(avail: int) -> None:
+            # bit x of avail is set while x is still a candidate; n is one on entry
             nonlocal incumbent, best, cmask, tie
             csize = len(celems)
-            ncands = len(cands)
-            for i, e in enumerate(cands):
+            while avail:
+                low = avail & -avail
+                e = low.bit_length() - 1
                 # a branch survives only if it can still beat incumbent - tie points
                 beat = incumbent - tie
                 # e and every later pick lie in [e, n], a shift of [n-e+1]; at the
@@ -317,20 +338,21 @@ class _GEngine:
                 if e >= 2 and csize + g[n - e + 1] <= beat:
                     break
                 # the 2,1 and generic counts fall as e grows, the 1,2 one need not
-                if self.desc2 and csize:
+                if desc2 and csize:
                     if csize + 1 + _ext_doubling_up(celems[0], e, n) <= beat:
                         break
-                elif self.asc2 and csize:
+                elif asc2 and csize:
                     # gaps shrink toward the top and the kernel dropped every x > 2b - a
                     # for chosen a < b, so at most bit_length(cap - e) picks follow e
-                    cap = min(2 * e - celems[-1], cands[-1])
+                    cap = min(2 * e - celems[-1], n)
                     if csize + 1 + (cap - e).bit_length() <= beat:
+                        avail ^= low
                         continue
-                elif csize + ncands - i <= beat:
+                elif csize + avail.bit_count() <= beat:
                     break
+                avail ^= low
                 budget.charge()
                 celems.append(e)
-                cmask |= 1 << e
                 # from g(n-1)'s witness on in lex order only a larger set wins
                 if tie and celems >= prev:
                     tie = 0
@@ -341,8 +363,10 @@ class _GEngine:
                 table = tables.get(e)
                 if table is None:
                     table = self._table(e)
-                # a wave is live when every point it has below e is chosen
-                free = ((1 << e) - 1) & ~cmask
+                # a wave is live when every point it has below e is chosen; all
+                # chosen points lie below e
+                free = (low - 1) ^ cmask
+                cmask |= low
                 dead = 0
                 for t in celems:
                     for wave in table.get(t, ()):
@@ -350,20 +374,20 @@ class _GEngine:
                             dead |= wave
                 if lookahead:
                     # every winning set holds n, so no x may close a wave rest + x + n
-                    waves = ends[e]
+                    waves = ends.get(e)
                     if waves is None:
                         waves = ends[e] = self._ends(e, n)
                     for wave in waves:
                         if not wave & free:
                             dead |= wave
-                newcands = [x for x in cands[i + 1 :] if not dead >> x & 1]
-                if newcands and newcands[-1] == n:
-                    rec(newcands)
+                newavail = avail & ~dead
+                if newavail >> n & 1:
+                    rec(newavail)
                 celems.pop()
-                cmask &= ~(1 << e)
+                cmask ^= low
 
         try:
-            rec(list(range(1, n + 1)))
+            rec((1 << n + 1) - 2)
         except _OutOfBudget as ex:
             ex.value, ex.points = incumbent, best
             raise

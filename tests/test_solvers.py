@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import S2, S3, all_patterns, naive_is_wave, oracle_g, oracle_p
 from wavelab import Coloring, Permutation, exact_P, exact_g, recursive_upper_bound_g, reverse
-from wavelab.solvers import _GEngine, _prefix_completions, _reset_caches
+from wavelab.solvers import _Budget, _GEngine, _prefix_completions, _reset_caches
 
 
 def P(text):
@@ -179,6 +179,9 @@ class TestExactG:
     # from the engine that counted the 2,1 doublings one step at a time and
     # capped the 1,2 chain with the gaps of every chosen pair (1,2 re-derived
     # with each step started from g(n-1)'s witness).
+    # The 1,2 total also pins the cut of a branch that has lost n: these
+    # patterns run no look-ahead, and without that cut 797 rises to 2,076.
+    # With the look-ahead that cut never fires, so no other pin covers it.
     LENGTH_TWO_NODES = {(2, 1): 2049, (1, 2): 797}
 
     def test_length_two_ladders_match_recorded_engine(self):
@@ -216,6 +219,31 @@ class TestExactG:
             for n in range(1, 13):
                 r = exact_g(P("1"), n, mode)
                 assert (r.value, r.witness.elements, r.status) == (1, (1,), "exact"), (mode, n)
+
+    def test_single_point_pattern_builds_one_table(self):
+        # k = 1 runs no look-ahead (the empty prefix's group key is the point
+        # itself, so it would find nothing), and each step includes only 1
+        engine = _GEngine(P("1"), "strict")
+        engine.ensure(2000, _Budget(10**8))
+        assert engine.g[2000] == 1 and list(engine.tables) == [1]
+
+    # Results cut short by a budget on a fresh engine: the node at which the
+    # budget runs out fixes the best set, so they pin the order of the nodes,
+    # which the ladder totals cannot see.
+    BUDGETED = [
+        ("1,3,2", "strict", 40, 10**4, "1,4,6,7,8,9,10,11,18,19,34,35"),
+        ("1,2,3", "strict", 40, 100, "1,3,4,5,10,11,12,13,14,15"),
+        ("1,3,2", "weak", 28, 100, "1,5,7,8,9,12"),
+        ("2,4,1,3", "strict", 30, 1000, "1,2,3,4,5,6,7,8,9,10,16,17,18,19"),
+    ]
+
+    def test_budgeted_results_match_recorded_engine(self):
+        for pat, mode, n, budget, text in self.BUDGETED:
+            _reset_caches()
+            r = exact_g(P(pat), n, mode, node_budget=budget)
+            want = tuple(int(x) for x in text.split(","))
+            got = (r.value, r.witness.elements, r.status, r.nodes)
+            assert got == (len(want), want, "lower-bound", budget), (pat, mode, n)
 
     def test_length_two_closed_form_across_64(self):
         for pat in ("2,1", "1,2"):
