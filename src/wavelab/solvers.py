@@ -337,17 +337,17 @@ class _GEngine:
                 # root no count below cuts more than this
                 if e >= 2 and csize + g[n - e + 1] <= beat:
                     break
-                # the 2,1 and generic counts fall as e grows, the 1,2 one need not
+                # the 2,1 and generic counts fall as e grows, the 1,2 one rises
                 if desc2 and csize:
                     if csize + 1 + _ext_doubling_up(celems[0], e, n) <= beat:
                         break
-                elif asc2 and csize:
-                    # gaps shrink toward the top and the kernel dropped every x > 2b - a
-                    # for chosen a < b, so at most bit_length(cap - e) picks follow e
-                    cap = min(2 * e - celems[-1], n)
-                    if csize + 1 + (cap - e).bit_length() <= beat:
-                        avail ^= low
-                        continue
+                elif asc2 and csize and csize + 1 + (e - celems[-1]).bit_length() <= beat:
+                    # the kernel dropped every x > 2b - a for chosen a < b, so at most
+                    # bit_length(e - c) picks follow e (c the last chosen point) and one
+                    # AND drops every e this rejects; where 2e - c >= n the picks in
+                    # [e, n] count fewer, but the translation cut breaks first there
+                    avail &= -1 << celems[-1] + (1 << beat - csize - 1)
+                    continue
                 elif csize + avail.bit_count() <= beat:
                     break
                 avail ^= low

@@ -7,17 +7,14 @@ if" forces the gaps to be pairwise distinct.  The weak-difference variant
 only demands the one-directional pi(i) > pi(j) => d_i >= d_j and therefore
 admits ties; every strict wave is a weak wave.
 
-Both modes are one gap-order rule, ``_gap_pair_ok``, applied to every pair
-of gaps.  ``prefix_feasible`` applies it to the gaps a partial sequence
-has so far, and the two wave predicates are ``prefix_feasible`` on a
-sequence of full length k+1.
-
-Against a fixed list of earlier gaps the same rule confines the next gap to
-one interval, ``_gap_interval``: above ``lo``, the largest earlier gap whose
-pi-value is smaller, and below ``hi``, the smallest earlier gap whose
-pi-value is larger, strictly in strict mode and weakly (but at least 1) in
-weak mode.  ``find_wave`` and the exact-g kernel in ``solvers`` both step by
-this interval.
+Both modes are one gap-order rule, ``_gap_interval``: against the earlier
+gaps it confines the next gap to one interval, above ``lo``, the largest
+earlier gap whose pi-value is smaller, and below ``hi``, the smallest
+earlier gap whose pi-value is larger, strictly in strict mode and weakly
+(but at least 1) in weak mode.  ``prefix_feasible`` checks each gap of a
+partial sequence against the interval of the gaps before it, the two wave
+predicates are ``prefix_feasible`` on a sequence of full length k+1, and
+``find_wave`` and the exact-g kernel in ``solvers`` both step through it.
 
 ``find_wave`` searches an :class:`IntSet` for the lexicographically least
 witness by depth-first extension over increasing subsequences.  Each level
@@ -197,26 +194,15 @@ def prefix_feasible(partial: Sequence[int], pi: Permutation, mode: Mode = "stric
     partial = tuple(partial)
     if not partial or len(partial) > len(pi) + 1:
         return False
-    if any(a >= b for a, b in zip(partial, partial[1:])):
-        return False
-    diffs = [b - a for a, b in zip(partial, partial[1:])]
-    vals = pi.values
-    for i in range(len(diffs)):
-        for j in range(i + 1, len(diffs)):
-            if not _gap_pair_ok(vals[i], vals[j], diffs[i], diffs[j], mode == "strict"):
-                return False
-    return True
-
-
-def _gap_pair_ok(pi_i: int, pi_j: int, d_i: int, d_j: int, strict: bool) -> bool:
-    """The gap-order rule: may gaps d_i, d_j stand where pi has pi_i, pi_j?"""
-    if strict:
-        # ties are never allowed: the gap order must mirror the value order
-        return d_i != d_j and (d_i > d_j) == (pi_i > pi_j)
-    if pi_i > pi_j and d_i < d_j:
-        return False
-    if pi_j > pi_i and d_j < d_i:
-        return False
+    # first >= 1 in both modes, so a sequence that does not increase fails too
+    strict = mode == "strict"
+    gaps: list[int] = []
+    for a, b in zip(partial, partial[1:]):
+        first, last = _gap_interval(pi.values, gaps, strict)
+        d = b - a
+        if d < first or (last is not None and d > last):
+            return False
+        gaps.append(d)
     return True
 
 
@@ -225,9 +211,11 @@ def _gap_interval(
 ) -> tuple[int, int | None]:
     """Allowed range ``(first, last)`` of the gap after ``gaps``, inclusive.
 
-    The new gap stands where pi has ``vals[len(gaps)]`` and must satisfy
-    ``_gap_pair_ok`` with every earlier gap.  ``last`` is None when no
-    earlier gap has a larger pi-value; the range is empty when first > last.
+    The new gap stands where pi has ``vals[len(gaps)]``.  In strict mode it
+    must differ from every earlier gap and lie above each one with a
+    smaller pi-value and below each one with a larger; in weak mode it may
+    tie them, but is at least 1.  ``last`` is None when no earlier gap has a
+    larger pi-value; the range is empty when first > last.
 
     >>> _gap_interval((2, 3, 1), (4, 9), True)
     (1, 3)

@@ -235,6 +235,10 @@ class TestExactG:
         ("1,2,3", "strict", 40, 100, "1,3,4,5,10,11,12,13,14,15"),
         ("1,3,2", "weak", 28, 100, "1,5,7,8,9,12"),
         ("2,4,1,3", "strict", 30, 1000, "1,2,3,4,5,6,7,8,9,10,16,17,18,19"),
+        ("1,2", "strict", 300, 100, "1,9,13,15,16,17"),
+        ("1,2", "strict", 300, 600, "1,65,97,113,121,125,127,128,129"),
+        ("1,2", "strict", 1000, 1500, "1,129,193,225,241,249,253,255,256,257"),
+        ("1,2", "strict", 2000, 3000, "1,257,385,449,481,497,505,509,511,512,513"),
     ]
 
     def test_budgeted_results_match_recorded_engine(self):

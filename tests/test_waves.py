@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,6 +131,47 @@ class TestPrefixFeasible:
         for pts, _ in wave_list(12, pi):
             for t in range(1, len(pts) + 1):
                 assert prefix_feasible(pts[:t], pi)
+
+
+class TestGapRuleExhaustive:
+    @staticmethod
+    def literal(pts, vals, weak):
+        # the definition read pairwise, on however many gaps pts has so far
+        if not pts or len(pts) > len(vals) + 1:
+            return False
+        if any(a >= b for a, b in zip(pts, pts[1:])):
+            return False
+        d = [b - a for a, b in zip(pts, pts[1:])]
+        for i, j in itertools.permutations(range(len(d)), 2):
+            if weak:
+                if vals[i] > vals[j] and d[i] < d[j]:
+                    return False
+            elif (d[i] > d[j]) != (vals[i] > vals[j]):
+                return False
+        return True
+
+    def test_predicates_match_pairwise_definition(self):
+        # patterns of length <= 3 on every tuple over [1, 9] up to one point
+        # too long, malformed ones included; length 4 on the increasing ones
+        points = range(1, 10)
+        for k in (1, 2, 3, 4):
+            if k <= 3:
+                tuples = [t for m in range(k + 3) for t in itertools.product(points, repeat=m)]
+            else:
+                tuples = [t for m in range(k + 3) for t in itertools.combinations(points, m)]
+            for vals in itertools.permutations(range(1, k + 1)):
+                pi = Permutation(vals)
+                for pts in tuples:
+                    strict = self.literal(pts, vals, False)
+                    weak = self.literal(pts, vals, True)
+                    full = len(pts) == k + 1
+                    got = (
+                        prefix_feasible(pts, pi, "strict"),
+                        prefix_feasible(pts, pi, "weak"),
+                        is_pi_wave(pts, pi),
+                        is_weak_pi_wave(pts, pi),
+                    )
+                    assert got == (strict, weak, strict and full, weak and full), (vals, pts)
 
 
 class TestWaveWitness:
