@@ -227,11 +227,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK if complete else EXIT_INCOMPLETE
 
 
+def _node_budget(text: str) -> int:
+    """A ``--node-budget`` value, refused at parse time when it is negative."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {budget}")
+    return budget
+
+
 def _add_cache_opts(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--cache", help=f"cache file (default ${STORE_PATH_ENV} or {DEFAULT_STORE_PATH})")
     sp.add_argument("--no-cache", action="store_true", help="do not read or write the cache")
     sp.add_argument(
-        "--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
+        "--node-budget", type=_node_budget, default=DEFAULT_NODE_BUDGET,
         help="search node budget before returning an incomplete result",
     )
 

@@ -25,10 +25,7 @@ refuse to return an unverified coloring.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
-from .perm import Permutation, direct_difference, remove_values, reverse
+from .perm import Permutation, _Value, direct_difference, remove_values, reverse
 from .solvers import Coloring
 from .waves import IntSet, Mode, WaveWitness, find_wave, is_pi_wave, wave_predicate
 
@@ -59,8 +56,7 @@ class VerificationError(RuntimeError):
     """A construction's self-check failed.  This signals a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class ExtractionTrace:
+class ExtractionTrace(_Value):
     """Full record of one extraction run.
 
     For a reflected strong run (value 2 before value 1 in the pattern) the
@@ -80,6 +76,28 @@ class ExtractionTrace:
     lifted: tuple[int, ...]
     inserted: tuple[int, ...]
     final: WaveWitness
+
+    def __init__(
+        self,
+        variant: str,
+        reflected: bool,
+        universe: int,
+        bin_index: int,
+        bins: tuple[tuple[int, tuple[int, ...]], ...],
+        thinned: tuple[int, ...],
+        residue_class: int,
+        residue_members: tuple[int, ...],
+        inner_wave: tuple[int, ...],
+        lifted: tuple[int, ...],
+        inserted: tuple[int, ...],
+        final: WaveWitness,
+    ) -> None:
+        self.__dict__.update(
+            variant=variant, reflected=reflected, universe=universe, bin_index=bin_index,
+            bins=bins, thinned=thinned, residue_class=residue_class,
+            residue_members=residue_members, inner_wave=inner_wave, lifted=lifted,
+            inserted=inserted, final=final,
+        )
 
     def render(self) -> str:
         lines = [f"extraction variant: {self.variant}"]
@@ -409,4 +427,8 @@ def extract_wave_strong(s: IntSet, pi: Permutation) -> tuple[WaveWitness, Extrac
             f"mirrored extraction assembled {final} which is not a wave for {pi}"
         )
     witness = WaveWitness(pattern=pi, points=final, mode="strict")
-    return witness, dataclasses.replace(core_trace, reflected=True, final=witness)
+    t = core_trace
+    return witness, ExtractionTrace(
+        t.variant, True, t.universe, t.bin_index, t.bins, t.thinned, t.residue_class,
+        t.residue_members, t.inner_wave, t.lifted, t.inserted, witness,
+    )

@@ -24,7 +24,7 @@ its reversal since reversal preserves both extremal quantities.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -45,8 +45,61 @@ __all__ = [
 CLASSIFY_MAX_LEN = 12
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Value:
+    """Base of the immutable result and record classes: a value object.
+
+    A subclass keeps this contract:
+
+    - it annotates its fields in the class body, in order, and nothing else;
+    - its ``__init__`` takes the fields in that order, by position or by
+      keyword, runs every check on them, and then stores them all with one
+      ``self.__dict__.update(...)``, which bypasses the read-only
+      ``__setattr__``.
+
+    In return the base gives it:
+
+    - equality and hashing by the tuple of fields in field order, equal only
+      to instances of the same class;
+    - ``repr`` as ``Name(field=value, ...)``, the form a dataclass prints;
+    - ``AttributeError`` on assigning or deleting any attribute;
+    - pickle and copy round-trips, which restore the stored fields without
+      running ``__init__``.
+
+    Unlike ``@dataclass(frozen=True)`` it generates no code when a class is
+    defined, so importing wavelab execs nothing and never imports
+    ``dataclasses``; ``dataclasses.fields``, ``asdict`` and ``replace`` do
+    not apply to its subclasses.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        # the fields' values in order (the bare value when there is one field)
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Permutation(_Value):
     """A permutation of {1..k} in one-line notation.
 
     >>> p = Permutation((4, 3, 1, 2))
@@ -58,14 +111,18 @@ class Permutation:
 
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values: Iterable[int]) -> None:
+        vals = tuple(values)
         k = len(vals)
         if k < 1:
             raise ValueError("permutation must have length >= 1")
         if sorted(vals) != list(range(1, k + 1)):
             raise ValueError(f"not a permutation of 1..{k}: {vals}")
+        self.__dict__.update(values=vals)
+
+    def __hash__(self) -> int:
+        # the key of the one field is the field itself: hash it without the lookup
+        return hash(self.values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -109,8 +166,7 @@ class Permutation:
         return cls(vals)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Value):
     """Structure and proven exponent interval for one pattern.
 
     ``exponent_lb`` is None when no lower-bound rule applies.  For layered
@@ -126,6 +182,22 @@ class Classification:
     nonfinal_big_layers: int | None
     exponent_lb: int | None
     exponent_ub: int
+
+    def __init__(
+        self,
+        pattern: Permutation,
+        peaks: tuple[int, ...],
+        layered: bool,
+        layers: tuple[tuple[int, int, int], ...] | None,
+        nonfinal_big_layers: int | None,
+        exponent_lb: int | None,
+        exponent_ub: int,
+    ) -> None:
+        self.__dict__.update(
+            pattern=pattern, peaks=peaks, layered=layered, layers=layers,
+            nonfinal_big_layers=nonfinal_big_layers, exponent_lb=exponent_lb,
+            exponent_ub=exponent_ub,
+        )
 
 
 def normalize(seq: Sequence[int] | Iterable[int]) -> Permutation:

@@ -69,9 +69,9 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from typing import Iterable
 
-from .perm import Permutation, _reductions
+from .perm import Permutation, _reductions, _Value
 from .waves import IntSet, Mode, _gap_interval, wave_predicate
 
 __all__ = [
@@ -93,20 +93,20 @@ SINGLE_REMOVAL_FACTOR = 30
 PAIR_REMOVAL_FACTOR = 42
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Value):
     """Total assignment of [M] to colors 1..palette; index i+1 -> assignment[i]."""
 
     assignment: tuple[int, ...]
     palette: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-        if self.palette < 1:
+    def __init__(self, assignment: Iterable[int], palette: int) -> None:
+        assignment = tuple(assignment)
+        if palette < 1:
             raise ValueError("palette must be >= 1")
-        for i, c in enumerate(self.assignment, start=1):
-            if not 1 <= c <= self.palette:
-                raise ValueError(f"point {i} has color {c} outside 1..{self.palette}")
+        for i, c in enumerate(assignment, start=1):
+            if not 1 <= c <= palette:
+                raise ValueError(f"point {i} has color {c} outside 1..{palette}")
+        self.__dict__.update(assignment=assignment, palette=palette)
 
     @property
     def domain_size(self) -> int:
@@ -152,8 +152,7 @@ class Coloring:
         return ",".join(str(c) for c in self.assignment)
 
 
-@dataclass(frozen=True)
-class DensityResult:
+class DensityResult(_Value):
     pattern: Permutation
     n: int
     mode: Mode
@@ -162,9 +161,15 @@ class DensityResult:
     status: str  # "exact" | "lower-bound"
     nodes: int
 
+    def __init__(
+        self, pattern: Permutation, n: int, mode: Mode, value: int, witness: IntSet,
+        status: str, nodes: int,
+    ) -> None:
+        self.__dict__.update(pattern=pattern, n=n, mode=mode, value=value,
+                             witness=witness, status=status, nodes=nodes)
 
-@dataclass(frozen=True)
-class ColoringResult:
+
+class ColoringResult(_Value):
     pattern: Permutation
     r: int
     mode: Mode
@@ -172,6 +177,13 @@ class ColoringResult:
     extremal: Coloring
     status: str  # "exact" | "lower-bound"
     nodes: int
+
+    def __init__(
+        self, pattern: Permutation, r: int, mode: Mode, value: int, extremal: Coloring,
+        status: str, nodes: int,
+    ) -> None:
+        self.__dict__.update(pattern=pattern, r=r, mode=mode, value=value,
+                             extremal=extremal, status=status, nodes=nodes)
 
 
 class _OutOfBudget(Exception):
@@ -185,6 +197,8 @@ class _Budget:
     __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int):
+        if limit < 0:
+            raise ValueError(f"node budget must be >= 0, got {limit}")
         self.limit = limit
         self.spent = 0
 
@@ -431,8 +445,8 @@ def exact_g(
     if n < 1:
         raise ValueError("universe size must be >= 1")
     wave_predicate(mode)  # validates the mode string
-    engine = _engine_for(pi, mode)
     budget = _Budget(node_budget)
+    engine = _engine_for(pi, mode)
     try:
         engine.ensure(n, budget)
     except _OutOfBudget as ex:

@@ -31,10 +31,9 @@ import fcntl
 import os
 import threading
 import warnings
-from dataclasses import dataclass
 
 from .constructions import verify_coloring_wave_free
-from .perm import Permutation
+from .perm import Permutation, _Value
 from .solvers import Coloring
 from .waves import IntSet, Mode, find_wave, wave_predicate
 
@@ -59,8 +58,7 @@ class StoreConflictError(StoreError):
     """Two exact records disagree for the same key."""
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(_Value):
     kind: str  # "g" | "p"
     pattern: Permutation
     parameter: int
@@ -69,14 +67,19 @@ class Record:
     status: str  # "exact" | "lower-bound"
     witness: IntSet | Coloring
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("g", "p"):
-            raise ValueError(f"kind must be 'g' or 'p', got {self.kind!r}")
-        if self.status not in ("exact", "lower-bound"):
-            raise ValueError(f"status must be 'exact' or 'lower-bound', got {self.status!r}")
-        wave_predicate(self.mode)
-        if self.parameter < 1:
+    def __init__(
+        self, kind: str, pattern: Permutation, parameter: int, mode: Mode, value: int,
+        status: str, witness: IntSet | Coloring,
+    ) -> None:
+        if kind not in ("g", "p"):
+            raise ValueError(f"kind must be 'g' or 'p', got {kind!r}")
+        if status not in ("exact", "lower-bound"):
+            raise ValueError(f"status must be 'exact' or 'lower-bound', got {status!r}")
+        wave_predicate(mode)
+        if parameter < 1:
             raise ValueError("parameter must be >= 1")
+        self.__dict__.update(kind=kind, pattern=pattern, parameter=parameter, mode=mode,
+                             value=value, status=status, witness=witness)
 
     @property
     def key(self) -> tuple[str, tuple[int, ...], int, str]:

@@ -28,10 +28,9 @@ first complete sequence the search reaches is the least witness.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .perm import Permutation
+from .perm import Permutation, _Value
 
 __all__ = [
     "IntSet",
@@ -52,8 +51,7 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'strict' or 'weak', got {mode!r}")
 
 
-@dataclass(frozen=True)
-class IntSet:
+class IntSet(_Value):
     """Strictly increasing positive integers inside the universe [n].
 
     >>> s = IntSet((1, 2, 4, 8), universe=8)
@@ -64,20 +62,20 @@ class IntSet:
     elements: tuple[int, ...]
     universe: int
 
-    def __post_init__(self) -> None:
-        els = tuple(self.elements)
-        object.__setattr__(self, "elements", els)
-        if self.universe < 1:
+    def __init__(self, elements: Iterable[int], universe: int) -> None:
+        els = tuple(elements)
+        if universe < 1:
             raise ValueError("universe must be >= 1")
         if els:
             if els[0] < 1:
                 raise ValueError("elements must be positive")
-            if els[-1] > self.universe:
+            if els[-1] > universe:
                 raise ValueError(
-                    f"element {els[-1]} exceeds universe {self.universe}"
+                    f"element {els[-1]} exceeds universe {universe}"
                 )
             if any(a >= b for a, b in zip(els, els[1:])):
                 raise ValueError("elements must be strictly increasing")
+        self.__dict__.update(elements=els, universe=universe)
 
     @classmethod
     def from_iterable(cls, it: Iterable[int], universe: int | None = None) -> "IntSet":
@@ -162,21 +160,23 @@ def wave_predicate(mode: Mode):
     return is_pi_wave if mode == "strict" else is_weak_pi_wave
 
 
-@dataclass(frozen=True)
-class WaveWitness:
+class WaveWitness(_Value):
     """A verified wave: construction fails unless the predicate holds."""
 
     pattern: Permutation
     points: tuple[int, ...]
-    mode: Mode = "strict"
+    mode: Mode
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        _check_mode(self.mode)
-        if not wave_predicate(self.mode)(self.points, self.pattern):
+    def __init__(
+        self, pattern: Permutation, points: Iterable[int], mode: Mode = "strict"
+    ) -> None:
+        points = tuple(points)
+        _check_mode(mode)
+        if not wave_predicate(mode)(points, pattern):
             raise ValueError(
-                f"points {self.points} are not a {self.mode} wave for {self.pattern}"
+                f"points {points} are not a {mode} wave for {pattern}"
             )
+        self.__dict__.update(pattern=pattern, points=points, mode=mode)
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.points)

@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -109,6 +111,25 @@ class TestExitCodes:
         )
         assert code == 3
         assert out.startswith("incomplete")
+
+    def test_negative_budget_is_refused_before_the_cache_is_read(self, capsys, tmp_path):
+        cache = tmp_path / "c.txt"
+        assert run(capsys, "g", "--pi", "2,1", "--n", "5", "--cache", str(cache))[0] == 0
+        # a cache hit (n = 5) and a miss (n = 6) exit alike
+        for argv in (["g", "--pi", "2,1", "--n", "5"], ["g", "--pi", "2,1", "--n", "6"],
+                     ["p", "--pi", "2,1", "--r", "2"],
+                     ["table", "--kind", "g", "--pi", "2,1", "--max", "0",
+                      "--csv", str(tmp_path / "t.csv")]):
+            code, out, err = run(capsys, *argv, "--node-budget", "-5", "--cache", str(cache))
+            assert (code, out) == (2, ""), argv
+            assert "--node-budget: must be >= 0" in err
+        assert cache.read_text() == "g 2,1 5 strict 4 exact 1,2,3,5\n"
+        assert not (tmp_path / "t.csv").exists()
+        # a cache that cannot be read is never opened
+        cache.write_text("not a record\n")
+        code, _, _ = run(capsys, "g", "--pi", "2,1", "--n", "5", "--node-budget", "-1",
+                         "--cache", str(cache))
+        assert code == 2
 
 
 class TestCache:
@@ -388,3 +409,16 @@ class TestFuzz:
                 code = main(argv)
         assert code in (0, 1, 2, 3), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+
+
+def test_import_generates_no_dataclass_code():
+    """Every CLI command imports wavelab.cli first, so nothing it pulls in may be slow."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = "import sys, wavelab.cli; print(' '.join(m for m in %r if m in sys.modules))" % (
+        heavy,
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.split() == []

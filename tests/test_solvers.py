@@ -268,6 +268,22 @@ class TestExactG:
         assert full.status == "exact" and full.value >= res.value
 
 
+class TestNodeBudget:
+    def test_negative_budget_is_refused(self):
+        for solve, param in ((exact_g, 5), (exact_P, 2)):
+            for budget in (-1, -5):
+                with pytest.raises(ValueError, match="node budget must be >= 0"):
+                    solve(P("2,1"), param, node_budget=budget)
+        # a budget of 0 still means no new nodes: a step not yet solved stops at once
+        _reset_caches()
+        res = exact_g(P("3,1,2"), 4, node_budget=0)
+        assert (res.status, res.value, res.witness.elements, res.nodes) == ("lower-bound", 0, (), 0)
+        assert exact_P(P("3,1,2"), 2, node_budget=0).status == "lower-bound"
+        # and answers from what the process has already solved
+        exact_g(P("3,1,2"), 4)
+        assert exact_g(P("3,1,2"), 4, node_budget=0).status == "exact"
+
+
 class TestExactP:
     def test_pigeonhole_family(self):
         one = P("1")
