@@ -11,86 +11,16 @@ procedures, and classifies patterns by their proven polylogarithmic
 exponents.
 """
 
-from .constructions import (
-    ExtractionFailure,
-    ExtractionTrace,
-    VerificationError,
-    extract_wave_main,
-    extract_wave_strong,
-    ezconst_coloring,
-    product_coloring,
-    product_decompose,
-    profile_pick,
-    verify_coloring_wave_free,
-)
-from .perm import (
-    Classification,
-    Permutation,
-    classify,
-    direct_difference,
-    layers,
-    normalize,
-    peaks,
-    remove_values,
-    reverse,
-)
-from .solvers import (
-    Coloring,
-    ColoringResult,
-    DensityResult,
-    exact_P,
-    exact_g,
-    recursive_upper_bound_g,
-)
-from .store import Record, Store, StoreConflictError, StoreError
-from .waves import (
-    IntSet,
-    WaveWitness,
-    differences,
-    find_wave,
-    is_pi_wave,
-    is_weak_pi_wave,
-    prefix_feasible,
-)
+from . import constructions, perm, solvers, store, waves
+from .constructions import *
+from .perm import *
+from .solvers import *
+from .store import *
+from .waves import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification",
-    "Coloring",
-    "ColoringResult",
-    "DensityResult",
-    "ExtractionFailure",
-    "ExtractionTrace",
-    "IntSet",
-    "Permutation",
-    "Record",
-    "Store",
-    "StoreConflictError",
-    "StoreError",
-    "VerificationError",
-    "WaveWitness",
-    "classify",
-    "differences",
-    "direct_difference",
-    "exact_P",
-    "exact_g",
-    "extract_wave_main",
-    "extract_wave_strong",
-    "ezconst_coloring",
-    "find_wave",
-    "is_pi_wave",
-    "is_weak_pi_wave",
-    "layers",
-    "normalize",
-    "peaks",
-    "prefix_feasible",
-    "product_coloring",
-    "product_decompose",
-    "profile_pick",
-    "recursive_upper_bound_g",
-    "remove_values",
-    "reverse",
-    "verify_coloring_wave_free",
-    "__version__",
-]
+# each module's __all__ is its public API; the package re-exports all of them
+__all__ = sorted(
+    name for module in (constructions, perm, solvers, store, waves) for name in module.__all__
+) + ["__version__"]

@@ -36,7 +36,7 @@ from .solvers import (
     exact_g,
     recursive_upper_bound_g,
 )
-from .store import DEFAULT_STORE_PATH, STORE_PATH_ENV, Record, Store, StoreError
+from .store import DEFAULT_STORE_PATH, STORE_PATH_ENV, Record, Store
 from .waves import IntSet, find_wave, is_pi_wave, is_weak_pi_wave
 
 EXIT_OK = 0
@@ -348,10 +348,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ExtractionFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (ValueError, StoreError, OSError) as exc:
+    except (ExtractionFailure, ValueError, OSError) as exc:  # StoreError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -301,6 +301,7 @@ def _extract(
     stride: int,
     removed: set[int],
     insert,
+    reflected: bool,
 ) -> tuple[WaveWitness, ExtractionTrace]:
     """The pigeonhole pipeline behind both extraction variants.
 
@@ -310,9 +311,13 @@ def _extract(
     least mod-6 residue class that has one, and lifts it back to ``s``.
     ``insert(pi, els, a_idx, lifted)`` then returns the assembled points
     and the inserted ones, where ``a_idx`` indexes the lifted points in
-    ``els``.  The result is verified before it is returned.
+    ``els``.  When ``reflected``, all of this runs on the mirrored set with
+    the reversed pattern and the assembled points are mirrored back.  The
+    result is verified before it is returned.
     """
-    els = s.elements
+    n = s.universe
+    run_pi = reverse(pi) if reflected else pi
+    els = (s.reflected() if reflected else s).elements
     bins = _dyadic_bins(els, step)
     s_star = _heaviest_bin(bins)
     chosen = bins[s_star]
@@ -322,7 +327,7 @@ def _extract(
     thinned = [els[i] >> shift for i in thin_idx]
     back = dict(zip(thinned, thin_idx))
     classes = _residue_split(thinned)
-    pi_reduced = remove_values(pi, removed)
+    pi_reduced = remove_values(run_pi, removed)
     # the least residue class that holds a wave for the reduced pattern
     for j in range(1, 7):
         members = classes[j]
@@ -338,7 +343,9 @@ def _extract(
         )
     a_idx = [back[y] for y in inner.points]
     lifted = [els[i] for i in a_idx]
-    final, inserted = insert(pi, els, a_idx, lifted)
+    final, inserted = insert(run_pi, els, a_idx, lifted)
+    if reflected:
+        final = tuple(n + 1 - p for p in reversed(final))
     if not is_pi_wave(final, pi):
         raise VerificationError(
             f"extraction assembled {final} which is not a wave for {pi}"
@@ -346,8 +353,8 @@ def _extract(
     witness = WaveWitness(pattern=pi, points=final, mode="strict")
     trace = ExtractionTrace(
         variant=variant,
-        reflected=False,
-        universe=s.universe,
+        reflected=reflected,
+        universe=n,
         bin_index=s_star,
         bins=tuple((b, tuple(els[i] for i in bins[b])) for b in sorted(bins)),
         thinned=tuple(thinned),
@@ -397,7 +404,7 @@ def extract_wave_main(s: IntSet, pi: Permutation) -> tuple[WaveWitness, Extracti
         raise ValueError("extraction needs a pattern of length >= 2")
     if len(s) < 2:
         raise ValueError("extraction needs at least 2 elements")
-    return _extract(s, pi, "main", 1, 2, {1}, _insert_successor)
+    return _extract(s, pi, "main", 1, 2, {1}, _insert_successor, False)
 
 
 def extract_wave_strong(s: IntSet, pi: Permutation) -> tuple[WaveWitness, ExtractionTrace]:
@@ -415,20 +422,4 @@ def extract_wave_strong(s: IntSet, pi: Permutation) -> tuple[WaveWitness, Extrac
         raise ValueError("values 1 and 2 occupy adjacent positions")
     if len(s) < 4:
         raise ValueError("extraction needs at least 4 elements")
-    if p1 < p2:
-        return _extract(s, pi, "strong", 3, 3, {1, 2}, _insert_pair_and_step)
-    mirrored, core_trace = _extract(
-        s.reflected(), reverse(pi), "strong", 3, 3, {1, 2}, _insert_pair_and_step
-    )
-    n = s.universe
-    final = tuple(n + 1 - p for p in reversed(mirrored.points))
-    if not is_pi_wave(final, pi):
-        raise VerificationError(
-            f"mirrored extraction assembled {final} which is not a wave for {pi}"
-        )
-    witness = WaveWitness(pattern=pi, points=final, mode="strict")
-    t = core_trace
-    return witness, ExtractionTrace(
-        t.variant, True, t.universe, t.bin_index, t.bins, t.thinned, t.residue_class,
-        t.residue_members, t.inner_wave, t.lifted, t.inserted, witness,
-    )
+    return _extract(s, pi, "strong", 3, 3, {1, 2}, _insert_pair_and_step, p2 < p1)

@@ -37,7 +37,6 @@ __all__ = [
     "layers",
     "direct_difference",
     "classify",
-    "CLASSIFY_MAX_LEN",
 ]
 
 # classify() recurses over sub-patterns of every length below k; the state

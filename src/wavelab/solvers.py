@@ -81,9 +81,6 @@ __all__ = [
     "exact_g",
     "exact_P",
     "recursive_upper_bound_g",
-    "DEFAULT_NODE_BUDGET",
-    "SINGLE_REMOVAL_FACTOR",
-    "PAIR_REMOVAL_FACTOR",
 ]
 
 DEFAULT_NODE_BUDGET = 10**8

@@ -9,9 +9,10 @@ One record per line, space-separated, permutation and witness comma-joined:
 Density records (kind ``g``) carry the extremal wave-free set; coloring
 records (kind ``p``) carry the extremal coloring of [value-1].  Every exact
 record must re-verify against the wave predicates, both on ``put`` and when
-the file is loaded, and an exact record may never be contradicted by a later
-exact record for the same key.  The store performs no symmetry closure:
-looking up the reverse of a stored pattern misses.
+the file is loaded.  A later exact record for the same key that repeats the
+stored value is skipped, and one that contradicts it is rejected.  The store
+performs no symmetry closure: looking up the reverse of a stored pattern
+misses.
 
 Whether a set holds a wave depends only on its consecutive gaps, so all
 translates of a set hold a wave or none does.  A :class:`Store` therefore
@@ -28,6 +29,7 @@ next ``put`` cuts it off before appending.  Any other bad line is fatal.
 from __future__ import annotations
 
 import fcntl
+import functools
 import os
 import threading
 import warnings
@@ -42,8 +44,6 @@ __all__ = [
     "Store",
     "StoreError",
     "StoreConflictError",
-    "DEFAULT_STORE_PATH",
-    "STORE_PATH_ENV",
 ]
 
 DEFAULT_STORE_PATH = "wavelab-cache.txt"
@@ -56,6 +56,12 @@ class StoreError(ValueError):
 
 class StoreConflictError(StoreError):
     """Two exact records disagree for the same key."""
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_pattern(text: str) -> Permutation:
+    """``Permutation.parse``, once per distinct text: a cache repeats few patterns."""
+    return Permutation.parse(text)
 
 
 class Record(_Value):
@@ -140,7 +146,7 @@ class Record(_Value):
             raise StoreError(f"expected 7 fields, got {len(parts)}: {line!r}")
         kind, pat_text, param_text, mode, value_text, status, wit_text = parts
         try:
-            pattern = Permutation.parse(pat_text)
+            pattern = _parse_pattern(pat_text)
             parameter = int(param_text)
             value = int(value_text)
         except ValueError as exc:
@@ -158,8 +164,6 @@ class Record(_Value):
                 colors = () if wit_text == "-" else tuple(int(p) for p in wit_text.split(","))
                 witness = Coloring(colors, parameter)
             return cls(kind, pattern, parameter, mode, value, status, witness)  # type: ignore[arg-type]
-        except StoreError:
-            raise
         except ValueError as exc:
             raise StoreError(f"bad witness in record {line!r}: {exc}") from None
 
@@ -210,8 +214,9 @@ class Store:
                     try:
                         rec = Record.from_line(line)
                         self._verify(rec)
-                        self._check_conflict(rec)
-                        self._ingest(rec)
+                        bucket = self._bucket_for(rec)
+                        if bucket is not None:
+                            bucket.append(rec)
                     except StoreError as exc:
                         raise type(exc)(f"{self.path}:{lineno}: {exc}") from None
 
@@ -230,29 +235,32 @@ class Store:
         else:
             rec._check_waves()
 
-    def _check_conflict(self, rec: Record) -> None:
-        if rec.status == "exact":
-            for other in self._records.get(rec.key, ()):
-                if other.status == "exact" and other.value != rec.value:
-                    raise StoreConflictError(
-                        f"exact value {rec.value} conflicts with stored exact "
-                        f"value {other.value} for key {rec.key}"
-                    )
+    def _bucket_for(self, rec: Record) -> list[Record] | None:
+        """The key's bucket that ``rec`` joins, or None if it repeats a stored exact value.
 
-    def _ingest(self, rec: Record) -> None:
-        self._records.setdefault(rec.key, []).append(rec)
+        Raises :class:`StoreConflictError` when a stored exact value differs.
+        A key holds at most one exact record, so the first one found decides.
+        """
+        bucket = self._records.setdefault(rec.key, [])
+        if rec.status == "exact":
+            for other in bucket:
+                if other.status == "exact":
+                    if other.value != rec.value:
+                        raise StoreConflictError(
+                            f"exact value {rec.value} conflicts with stored exact "
+                            f"value {other.value} for key {rec.key}"
+                        )
+                    return None
+        return bucket
 
     def put(self, rec: Record) -> None:
         """Verify and durably append; identical exact re-puts are no-ops."""
         self._verify(rec)
         data = (rec.to_line() + "\n").encode("utf-8")
         with self._lock:
-            bucket = self._records.get(rec.key, [])
-            if rec.status == "exact" and any(
-                o.status == "exact" and o.value == rec.value for o in bucket
-            ):
+            bucket = self._bucket_for(rec)
+            if bucket is None:
                 return
-            self._check_conflict(rec)
             fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
             try:
                 # closing fd releases the lock
@@ -267,7 +275,7 @@ class Store:
             finally:
                 os.close(fd)
             # served from memory only once the file holds it
-            self._ingest(rec)
+            bucket.append(rec)
 
     def get(
         self, kind: str, pattern: Permutation, parameter: int, mode: Mode

@@ -35,7 +35,6 @@ from .perm import Permutation, _Value
 __all__ = [
     "IntSet",
     "WaveWitness",
-    "Mode",
     "differences",
     "is_pi_wave",
     "is_weak_pi_wave",
@@ -171,7 +170,6 @@ class WaveWitness(_Value):
         self, pattern: Permutation, points: Iterable[int], mode: Mode = "strict"
     ) -> None:
         points = tuple(points)
-        _check_mode(mode)
         if not wave_predicate(mode)(points, pattern):
             raise ValueError(
                 f"points {points} are not a {mode} wave for {pattern}"

@@ -15,6 +15,7 @@ from wavelab import (
     product_coloring,
     product_decompose,
     profile_pick,
+    reverse,
     verify_coloring_wave_free,
 )
 
@@ -25,6 +26,13 @@ def P(text):
 
 def full_range(n):
     return IntSet(tuple(range(1, n + 1)), n)
+
+
+def _dense_set(seed, n):
+    import random
+
+    rng = random.Random(seed)
+    return IntSet(tuple(sorted(rng.sample(range(1, n + 1), rng.randint(n * 4 // 5, n)))), n)
 
 
 class TestProfilePick:
@@ -243,6 +251,20 @@ class TestExtractStrong:
         w, tr = extract_wave_strong(full_range(200), P("2,4,1,3"))
         assert tr.reflected
         assert is_pi_wave(w.points, P("2,4,1,3"))
+
+    @pytest.mark.parametrize("s", [full_range(200), _dense_set(5, 256)], ids=["range", "dense"])
+    def test_reflected_trace_is_the_mirror_run(self, s):
+        pi = P("2,4,1,3")
+        w, tr = extract_wave_strong(s, pi)
+        mw, mtr = extract_wave_strong(s.reflected(), reverse(pi))
+        assert tr.reflected and not mtr.reflected
+        mirror_space = ("variant", "universe", "bin_index", "bins", "thinned", "residue_class",
+                        "residue_members", "inner_wave", "lifted", "inserted")
+        for field in mirror_space:
+            assert getattr(tr, field) == getattr(mtr, field), field
+        n = s.universe
+        assert tr.final == w
+        assert w.points == tuple(n + 1 - p for p in reversed(mw.points))
 
     def test_random_dense_sets_succeed_and_verify(self):
         import random

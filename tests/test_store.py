@@ -144,6 +144,35 @@ class TestStore:
         with pytest.raises(StoreConflictError):
             Store(path)
 
+    def test_repeated_exact_line_loads_once(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        line = "g 2,1 8 strict 4 exact 1,2,4,8\n"
+        path.write_text(line * 2)
+        store = Store(path)
+        assert store.get("g", P("2,1"), 8, "strict") == Record.from_line(line)
+        store.put(Record.from_line(line))
+        assert path.read_text() == line * 2
+
+    def test_load_parses_each_pattern_text_once(self, tmp_path, monkeypatch):
+        texts = ["1", "1,2", "2,1", "1,3,2", "2,3,1", "3,1,2", "2,4,1,3"]
+        path = tmp_path / "cache.txt"
+        store = Store(path)
+        for text in texts:
+            for n in range(1, 13):
+                store.put(g_record(text, n))
+        pi = P("2,4,1,3")
+        parsed = []
+        parse = Permutation.parse
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(Permutation, "parse", staticmethod(counting_parse))
+        assert Store(path).get("g", pi, 12, "strict").value == 11
+        # 84 lines, 7 pattern texts
+        assert len(parsed) == len(set(parsed)) <= len(texts)
+
     def test_blank_lines_and_comments_skipped(self, tmp_path):
         path = tmp_path / "cache.txt"
         path.write_text("# cache\n\ng 2,1 8 strict 4 exact 1,2,4,8\n")
