@@ -118,7 +118,7 @@ def _cached_solve(
     are returned but never stored.
     """
     rec = store.get(kind, pi, param, mode) if store is not None else None
-    if rec is not None and rec.status == "exact":
+    if rec is not None:
         return rec.value, rec.status, rec.witness
     if kind == "g":
         res = exact_g(pi, param, mode, node_budget=node_budget)
@@ -191,39 +191,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def emit_table(
-    kind: str,
-    pi: Permutation,
-    max_param: int,
-    mode: str,
-    csv_path: str,
-    store: Store | None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> bool:
-    """Write a CSV of values for param = 1..max_param; True iff all exact.
-
-    Values come from the store when it already has them exactly, and exact
-    values are stored after computation.
-    """
-    incomplete = False
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pattern", "param", "mode", "value", "status", "witness"])
-        for param in range(1, max_param + 1):
-            value, status, witness = _cached_solve(kind, pi, param, mode, store, node_budget)
-            incomplete = incomplete or status != "exact"
-            writer.writerow([str(pi), param, mode, value, status, str(witness)])
-    return not incomplete
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
+    """A CSV of values for param = 1..max; exit 3 unless all are exact."""
     pi = Permutation.parse(args.pi)
     if args.max < 0:
         raise ValueError("--max must be >= 0")
-    complete = emit_table(
-        args.kind, pi, args.max, _mode(args), args.csv, _store_for(args),
-        node_budget=args.node_budget,
-    )
+    mode, store = _mode(args), _store_for(args)
+    complete = True
+    with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pattern", "param", "mode", "value", "status", "witness"])
+        for param in range(1, args.max + 1):
+            value, status, witness = _cached_solve(
+                args.kind, pi, param, mode, store, args.node_budget
+            )
+            complete = complete and status == "exact"
+            writer.writerow([str(pi), param, mode, value, status, str(witness)])
     return EXIT_OK if complete else EXIT_INCOMPLETE
 
 

@@ -150,10 +150,13 @@ def verify_coloring_wave_free(coloring: Coloring, pi: Permutation, mode: Mode = 
 
 
 def _find_mono_wave(coloring: Coloring, pi: Permutation, mode: Mode):
-    """First (color, witness) pair over ascending colors, or None."""
+    """First (color, witness) pair over the ascending colors in use, or None."""
     need = len(pi) + 1
-    for c in range(1, coloring.palette + 1):
-        pts = coloring.color_class(c)
+    classes: dict[int, list[int]] = {}
+    for point, c in enumerate(coloring.assignment, start=1):
+        classes.setdefault(c, []).append(point)
+    for c in sorted(classes):
+        pts = classes[c]
         if len(pts) < need:
             continue
         w = find_wave(IntSet(pts, universe=coloring.domain_size), pi, mode)

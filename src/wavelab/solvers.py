@@ -498,7 +498,7 @@ def exact_P(
     while True:
         M += 1
         _wave_table_for_coloring(pi, mode, M, by_max)
-        classmask = [0] * (r + 1)
+        classmask = [0] * (min(r, M) + 1)  # canonical introduction uses <= M colors
         sol = [0] * (M + 1)
 
         def assign(p: int, introduced: int) -> bool:

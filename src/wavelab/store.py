@@ -7,19 +7,22 @@ One record per line, space-separated, permutation and witness comma-joined:
     p    2,1     2     strict 9 exact  1,1,1,2,2,2,1,2
 
 Density records (kind ``g``) carry the extremal wave-free set; coloring
-records (kind ``p``) carry the extremal coloring of [value-1].  Every exact
-record must re-verify against the wave predicates, both on ``put`` and when
-the file is loaded.  A later exact record for the same key that repeats the
-stored value is skipped, and one that contradicts it is rejected.  The store
-performs no symmetry closure: looking up the reverse of a stored pattern
-misses.
+records (kind ``p``) carry the extremal coloring of [value-1].  The store
+serves exact records only, one per key, and ``put`` refuses any other.
+Every record re-verifies through :meth:`Record.verify`, both on ``put`` and
+when the file is loaded.  A ``lower-bound`` line, which an older cache may
+hold, is verified on load like any other and then ignored.  A later exact
+record for the same key that repeats the stored value is skipped, and one
+that contradicts it is rejected.  The store performs no symmetry closure:
+looking up the reverse of a stored pattern misses.
 
 Whether a set holds a wave depends only on its consecutive gaps, so all
-translates of a set hold a wave or none does.  A :class:`Store` therefore
-runs the wave search once per distinct (pattern, mode, gaps) shape of a
-density witness, on load and on ``put`` alike, and every further record of
-that shape reuses the answer.  The other checks (universe, size against
-value, and for colorings everything) still run on every record.
+translates of a set hold a wave or none does.  The wave search for a
+density witness therefore runs once per distinct (pattern, mode, gaps)
+shape, and the answer is remembered for the whole process: by every
+:class:`Store`, on load and on ``put``, and by library calls of
+:meth:`Record.verify`.  The other checks (universe, size against value,
+and for colorings everything) still run on every record.
 
 Every line a ``put`` writes ends in a newline, so an unterminated last line
 is a write that a crash tore off.  Loading skips it with a warning, and the
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import fcntl
 import functools
+import itertools
 import os
 import threading
 import warnings
@@ -92,11 +96,11 @@ class Record(_Value):
         return (self.kind, self.pattern.values, self.parameter, self.mode)
 
     def verify(self) -> None:
-        """Re-check the witness; raises StoreError when it fails."""
-        self._check_shape()
-        self._check_waves()
+        """Re-check the witness; raises StoreError when it fails.
 
-    def _check_shape(self) -> None:
+        A density witness is searched for waves once per (pattern, mode,
+        gaps) shape per process, through ``_holds_wave``.
+        """
         if self.kind == "g":
             if not isinstance(self.witness, IntSet):
                 raise StoreError("density record needs an integer-set witness")
@@ -107,6 +111,11 @@ class Record(_Value):
             if len(self.witness) != self.value:
                 raise StoreError(
                     f"witness size {len(self.witness)} != value {self.value}"
+                )
+            els = self.witness.elements
+            if _holds_wave(self.pattern, self.mode, tuple(b - a for a, b in zip(els, els[1:]))):
+                raise StoreError(
+                    f"witness {self.witness} contains a {self.mode} wave for {self.pattern}"
                 )
         else:
             if not isinstance(self.witness, Coloring):
@@ -120,17 +129,10 @@ class Record(_Value):
                 raise StoreError(
                     f"extremal coloring palette {self.witness.palette} != r={self.parameter}"
                 )
-
-    def _check_waves(self) -> None:
-        if self.kind == "g":
-            if find_wave(self.witness, self.pattern, self.mode) is not None:
+            if not verify_coloring_wave_free(self.witness, self.pattern, self.mode):
                 raise StoreError(
-                    f"witness {self.witness} contains a {self.mode} wave for {self.pattern}"
+                    f"extremal coloring has a monochromatic {self.mode} wave for {self.pattern}"
                 )
-        elif not verify_coloring_wave_free(self.witness, self.pattern, self.mode):
-            raise StoreError(
-                f"extremal coloring has a monochromatic {self.mode} wave for {self.pattern}"
-            )
 
     def to_line(self) -> str:
         wit = str(self.witness) or "-"
@@ -151,8 +153,6 @@ class Record(_Value):
             value = int(value_text)
         except ValueError as exc:
             raise StoreError(f"unparseable record {line!r}: {exc}") from None
-        if mode not in ("strict", "weak"):
-            raise StoreError(f"bad mode in record: {line!r}")
         witness: IntSet | Coloring
         try:
             if kind == "g":
@@ -163,9 +163,22 @@ class Record(_Value):
             else:
                 colors = () if wit_text == "-" else tuple(int(p) for p in wit_text.split(","))
                 witness = Coloring(colors, parameter)
-            return cls(kind, pattern, parameter, mode, value, status, witness)  # type: ignore[arg-type]
         except ValueError as exc:
             raise StoreError(f"bad witness in record {line!r}: {exc}") from None
+        try:
+            return cls(kind, pattern, parameter, mode, value, status, witness)  # type: ignore[arg-type]
+        except ValueError as exc:
+            raise StoreError(f"bad record {line!r}: {exc}") from None
+
+
+@functools.lru_cache(maxsize=None)
+def _holds_wave(pattern: Permutation, mode: Mode, gaps: tuple[int, ...]) -> bool:
+    """Whether a set with these consecutive gaps holds a wave (all its translates agree).
+
+    ``find_wave`` is looked up at call time, so a wrapper on this module's name sees it.
+    """
+    points = tuple(itertools.accumulate(gaps, initial=1))
+    return find_wave(IntSet(points, points[-1]), pattern, mode) is not None
 
 
 def _cut_torn_tail(fd: int) -> None:
@@ -188,16 +201,15 @@ class Store:
     Each put appends its whole line with a single ``write`` on an
     ``O_APPEND`` descriptor and syncs it, holding an exclusive ``flock``
     from the torn-line check to the sync, so puts from several threads or
-    processes land as whole lines.  Loading verifies every record and
-    rejects the file on the first bad one, except a torn last line.
+    processes land as whole lines.  Loading verifies every record, rejects
+    the file on the first bad one except a torn last line, and indexes the
+    exact ones.
     """
 
     def __init__(self, path: str | os.PathLike[str]):
         self.path = os.fspath(path)
         self._lock = threading.Lock()
-        self._records: dict[tuple, list[Record]] = {}
-        # (pattern values, mode, gaps) of density witnesses found wave-free
-        self._wave_free: set[tuple] = set()
+        self._records: dict[tuple, Record] = {}
         if os.path.exists(self.path):
             # only "\n" ends a line, as in the byte check of _cut_torn_tail
             with open(self.path, "r", encoding="utf-8", newline="\n") as fh:
@@ -213,53 +225,39 @@ class Store:
                         continue
                     try:
                         rec = Record.from_line(line)
-                        self._verify(rec)
-                        bucket = self._bucket_for(rec)
-                        if bucket is not None:
-                            bucket.append(rec)
+                        rec.verify()
+                        if rec.status == "exact" and not self._repeats(rec):
+                            self._records[rec.key] = rec
                     except StoreError as exc:
                         raise type(exc)(f"{self.path}:{lineno}: {exc}") from None
 
-    def _verify(self, rec: Record) -> None:
-        """``rec.verify()``, searching each density witness shape only once."""
-        rec._check_shape()
-        if rec.kind == "g" and len(rec.witness) > len(rec.pattern):
-            els = rec.witness.elements
-            shape = (rec.pattern.values, rec.mode, tuple(b - a for a, b in zip(els, els[1:])))
-            if shape in self._wave_free:
-                return
-            rec._check_waves()
-            # only a shape that passed is remembered; a racing put at worst
-            # repeats the search
-            self._wave_free.add(shape)
-        else:
-            rec._check_waves()
+    def _repeats(self, rec: Record) -> bool:
+        """True iff the key already holds ``rec``'s value.
 
-    def _bucket_for(self, rec: Record) -> list[Record] | None:
-        """The key's bucket that ``rec`` joins, or None if it repeats a stored exact value.
-
-        Raises :class:`StoreConflictError` when a stored exact value differs.
-        A key holds at most one exact record, so the first one found decides.
+        Raises :class:`StoreConflictError` when it holds a different one.
         """
-        bucket = self._records.setdefault(rec.key, [])
-        if rec.status == "exact":
-            for other in bucket:
-                if other.status == "exact":
-                    if other.value != rec.value:
-                        raise StoreConflictError(
-                            f"exact value {rec.value} conflicts with stored exact "
-                            f"value {other.value} for key {rec.key}"
-                        )
-                    return None
-        return bucket
+        other = self._records.get(rec.key)
+        if other is None:
+            return False
+        if other.value != rec.value:
+            raise StoreConflictError(
+                f"exact value {rec.value} conflicts with stored exact "
+                f"value {other.value} for key {rec.key}"
+            )
+        return True
 
     def put(self, rec: Record) -> None:
-        """Verify and durably append; identical exact re-puts are no-ops."""
-        self._verify(rec)
+        """Verify and durably append an exact record; a repeat of the stored one is a no-op.
+
+        Raises :class:`StoreError`, writing nothing, for a record that is
+        not exact: the store serves exact records only.
+        """
+        if rec.status != "exact":
+            raise StoreError(f"the store keeps exact records only, got a {rec.status} record")
+        rec.verify()
         data = (rec.to_line() + "\n").encode("utf-8")
         with self._lock:
-            bucket = self._bucket_for(rec)
-            if bucket is None:
+            if self._repeats(rec):
                 return
             fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
             try:
@@ -275,16 +273,10 @@ class Store:
             finally:
                 os.close(fd)
             # served from memory only once the file holds it
-            bucket.append(rec)
+            self._records[rec.key] = rec
 
     def get(
         self, kind: str, pattern: Permutation, parameter: int, mode: Mode
     ) -> Record | None:
-        """Most authoritative record for the key: exact, else best lower bound."""
-        bucket = self._records.get((kind, pattern.values, parameter, mode))
-        if not bucket:
-            return None
-        for rec in bucket:
-            if rec.status == "exact":
-                return rec
-        return max(enumerate(bucket), key=lambda iv: (iv[1].value, iv[0]))[1]
+        """The key's exact record, or None; a lower-bound line is never served."""
+        return self._records.get((kind, pattern.values, parameter, mode))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import pytest
@@ -243,6 +244,49 @@ class TestConstructAndVerify:
         assert code == 1 and "monochromatic" in err
 
 
+def _limited_cli(argv, limit, value):
+    """Run the CLI in a child process under one resource limit, set before wavelab loads."""
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.{limit}, ({value}, resource.RLIM_INFINITY))\n"
+        "from wavelab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestPaletteSize:
+    """Work follows the points, not the palette: a huge palette costs nothing."""
+
+    HUGE = str(10**12)
+
+    def test_verify_skips_unused_colors(self, tmp_path):
+        coloring = tmp_path / "c.txt"
+        coloring.write_text("1,1,2\n")
+        # a pass per palette color would take hours; 10 s of CPU ends it
+        done = _limited_cli(["verify", "--coloring", str(coloring), "--pi", "2,1",
+                             "--palette", self.HUGE], "RLIMIT_CPU", 10)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "wave-free\n", "")
+
+    def test_cache_load_skips_unused_colors(self, capsys, tmp_path):
+        cache = tmp_path / "c.txt"
+        cache.write_text(f"p 1 {self.HUGE} strict 2 exact 1\n")
+        done = _limited_cli(["g", "--pi", "2,1", "--n", "8", "--cache", str(cache)],
+                            "RLIMIT_CPU", 10)
+        expected = run(capsys, "g", "--pi", "2,1", "--n", "8", "--no-cache")
+        assert (done.returncode, done.stdout, done.stderr) == expected
+
+    def test_exact_P_does_not_allocate_the_palette(self):
+        # a list of 10**9 slots needs 8 GB; never run this without the limit
+        done = _limited_cli(["p", "--pi", "2,1", "--r", str(10**9), "--no-cache",
+                             "--node-budget", "1000"], "RLIMIT_AS", 2**30)
+        assert done.returncode == 3, done.stderr
+        assert done.stdout.startswith("incomplete: budget exhausted")
+        assert done.stderr == ""
+
+
 class TestTable:
     def test_g_table_values(self, capsys, tmp_path):
         out_csv = tmp_path / "t.csv"
@@ -294,6 +338,13 @@ class TestTable:
 _FILE = "@file:"  # argv token prefix: write the rest to a file, pass its path
 
 
+def _valid_pattern(max_len):
+    """Text of a pattern of length <= max_len."""
+    return st.integers(1, max_len).flatmap(
+        lambda k: st.permutations(range(1, k + 1))
+    ).map(lambda vals: ",".join(map(str, vals)))
+
+
 def _pattern(max_len):
     """Text of a pattern of length <= max_len, or text parsing to no longer one."""
 
@@ -303,11 +354,8 @@ def _pattern(max_len):
         except ValueError:
             return True
 
-    valid = st.integers(1, max_len).flatmap(
-        lambda k: st.permutations(range(1, k + 1))
-    ).map(lambda vals: ",".join(map(str, vals)))
     junk = st.text(alphabet="0123456789,- x", max_size=6).filter(short_enough)
-    return st.one_of(valid, junk)
+    return st.one_of(_valid_pattern(max_len), junk)
 
 
 def _ints(lo, hi):
@@ -348,21 +396,28 @@ def _command(name, *parts):
     return st.tuples(*parts).map(lambda ps: name.split() + [t for p in ps for t in p])
 
 
+def _cached_commands(pattern, budget, cache):
+    """The commands that read and extend the cache."""
+    return [
+        _command("g", _req("--pi", pattern(3)), _req("--n", _ints(-1, 30)), _switch("--weak"),
+                 cache, _opt("--node-budget", budget)),
+        _command("p", _req("--pi", pattern(2)), _req("--r", _ints(-1, 2)), _switch("--weak"),
+                 cache, _opt("--node-budget", budget)),
+        _command("table --kind g", _req("--pi", pattern(3)), _req("--max", _ints(-1, 30)),
+                 _switch("--weak"), _req("--csv", st.sampled_from(["t.csv", "no/such/t.csv"])),
+                 cache, _opt("--node-budget", budget)),
+        _command("table --kind p", _req("--pi", pattern(2)), _req("--max", _ints(-1, 2)),
+                 _switch("--weak"), _req("--csv", st.just("t.csv")), cache),
+    ]
+
+
 _COMMANDS = st.one_of(
     _command("classify", _pattern(7).map(lambda p: [p])),
     _command("classify", st.just([",".join(map(str, range(13, 0, -1)))])),
     _command("detect", _req("--pi", _pattern(5)), _req("--seq", _POINTS), _switch("--weak")),
     _command("search", _req("--pi", _pattern(4)), _req("--set", _POINTS),
              _opt("--n", _ints(-1, 32)), _switch("--weak")),
-    _command("g", _req("--pi", _pattern(3)), _req("--n", _ints(-1, 30)), _switch("--weak"),
-             _cache(), _opt("--node-budget", _BUDGET)),
-    _command("p", _req("--pi", _pattern(2)), _req("--r", _ints(-1, 2)), _switch("--weak"),
-             _cache(), _opt("--node-budget", _BUDGET)),
-    _command("table --kind g", _req("--pi", _pattern(3)), _req("--max", _ints(-1, 30)),
-             _switch("--weak"), _req("--csv", st.sampled_from(["t.csv", "no/such/t.csv"])),
-             _cache(), _opt("--node-budget", _BUDGET)),
-    _command("table --kind p", _req("--pi", _pattern(2)), _req("--max", _ints(-1, 2)),
-             _switch("--weak"), _req("--csv", st.just("t.csv")), _cache()),
+    *_cached_commands(_pattern, _BUDGET, _cache()),
     _command("bound", _req("--pi", _pattern(7)), _req("--n", _ints(-1, 10**12))),
     _command("extract", _req("--pi", _pattern(4)), _req("--set", _POINTS),
              _opt("--n", _ints(-1, 32)), _switch("--strong"), _switch("--trace")),
@@ -390,25 +445,63 @@ def _argv(draw):
     return argv
 
 
+# Cache file contents: each entry is one or two lines, and the torn one
+# stops short of its newline.
+_CACHE_LINES = st.lists(st.sampled_from([
+    "g 2,1 8 strict 4 exact 1,2,3,5\n",
+    "p 2,1 2 strict 9 exact 1,1,1,2,2,2,1,2\n",
+    "g 2,1 9 strict 4 lower-bound 1,2,3,5\n",
+    "g 1,3,2 13 strict 2 lower-bound 1,2\n",
+    "g 2,1 8 strict 4 exact 1,2,3,5\ng 2,1 8 strict 3 exact 1,2,3\n",  # conflict
+    "g 1,2 6 weak 3 exact 1,3,4\n" * 2,  # repeat
+    "g 2,1 9 strict 5 ex",  # torn
+    "g 2,1 8 strict 4\n",
+    "q 2,1 8 strict 4 exact 1,2,4,8\n",
+    "g 2,1 8 strict 4 guess 1,2,4,8\n",
+    "g 2,1 8 loose 4 exact 1,2,4,8\n",
+    "g 2,1 8 strict 3 exact 1,3,4\n",  # holds a wave
+    f"p 1 {10**12} strict 2 exact 1\n",
+]), max_size=3).map("".join)
+
+
+def _run_fuzzed(argv, cache_text=""):
+    """(exit code, stderr) of main(argv), every file inside a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("cache.txt", "env-cache.txt") if cache_text else ():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(cache_text)
+        for i, tok in enumerate(argv):
+            if tok.startswith(_FILE):
+                argv[i] = os.path.join(tmp, f"coloring{i}.txt")
+                with open(argv[i], "w", encoding="utf-8") as fh:
+                    fh.write(tok[len(_FILE):])
+            elif tok in ("cache.txt", "t.csv", "no/such/t.csv", "out.txt"):
+                argv[i] = os.path.join(tmp, tok)
+        out, err = io.StringIO(), io.StringIO()
+        env = {STORE_PATH_ENV: os.path.join(tmp, "env-cache.txt")}
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a torn cache tail warns
+            return main(argv), err.getvalue()
+
+
 class TestFuzz:
     @given(_argv())
     @settings(max_examples=150, deadline=None)
     def test_exit_status_and_no_traceback(self, argv):
-        with tempfile.TemporaryDirectory() as tmp:
-            for i, tok in enumerate(argv):
-                if tok.startswith(_FILE):
-                    argv[i] = os.path.join(tmp, f"coloring{i}.txt")
-                    with open(argv[i], "w", encoding="utf-8") as fh:
-                        fh.write(tok[len(_FILE):])
-                elif tok in ("cache.txt", "t.csv", "no/such/t.csv", "out.txt"):
-                    argv[i] = os.path.join(tmp, tok)
-            out, err = io.StringIO(), io.StringIO()
-            env = {STORE_PATH_ENV: os.path.join(tmp, "env-cache.txt")}
-            with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = main(argv)
+        code, err = _run_fuzzed(argv)
         assert code in (0, 1, 2, 3), (argv, code)
-        assert "Traceback" not in err.getvalue(), argv
+        assert "Traceback" not in err, argv
+
+    # valid command lines that always read a cache, so none is a usage error
+    @given(st.one_of(*_cached_commands(
+        _valid_pattern, _ints(0, 10**4), st.sampled_from([["--cache", "cache.txt"], []]),
+    )), _CACHE_LINES)
+    @settings(max_examples=150, deadline=None)
+    def test_cache_contents(self, argv, cache_text):
+        code, err = _run_fuzzed(argv, cache_text)
+        assert code in (0, 1, 3), (argv, cache_text, code)
+        assert "Traceback" not in err, (argv, cache_text)
 
 
 def test_import_generates_no_dataclass_code():

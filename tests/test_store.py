@@ -44,6 +44,8 @@ class TestRecord:
         rec = Record.from_line("g 2,1 8 strict 4 exact 1,2,4,8")
         rec.verify()
         assert rec.witness == IntSet((1, 2, 4, 8), 8)
+        # a witness is read in any order
+        assert Record.from_line("g 2,1 8 strict 4 exact 8,4,2,1") == rec
 
     def test_coloring_record(self):
         res = exact_P(P("1"), 3)
@@ -109,19 +111,52 @@ class TestStore:
         store.put(g_record())
         assert len(path.read_text().splitlines()) == 1
 
-    def test_exact_preferred_over_lower_bound(self, tmp_path):
-        store = Store(tmp_path / "cache.txt")
+    def test_put_refuses_lower_bound(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        store = Store(path)
         lb = Record("g", P("2,1"), 8, "strict", 3, "lower-bound", IntSet((1, 2, 4), 8))
-        store.put(lb)
-        assert store.get("g", P("2,1"), 8, "strict") == lb
-        store.put(g_record())
-        assert store.get("g", P("2,1"), 8, "strict").status == "exact"
+        with pytest.raises(StoreError, match="exact records only"):
+            store.put(lb)
+        assert not path.exists()
+        assert store.get("g", P("2,1"), 8, "strict") is None
 
-    def test_best_lower_bound_wins(self, tmp_path):
-        store = Store(tmp_path / "cache.txt")
-        store.put(Record("g", P("2,1"), 8, "strict", 2, "lower-bound", IntSet((1, 2), 8)))
-        store.put(Record("g", P("2,1"), 8, "strict", 3, "lower-bound", IntSet((1, 2, 4), 8)))
-        assert store.get("g", P("2,1"), 8, "strict").value == 3
+    def test_lower_bound_lines_are_never_served(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text(
+            "g 2,1 8 strict 3 lower-bound 1,2,4\n"
+            "g 2,1 8 strict 4 exact 1,2,4,8\n"
+            "g 2,1 8 strict 2 lower-bound 1,2\n"
+            "g 2,1 9 strict 4 lower-bound 1,2,4,8\n"
+        )
+        store = Store(path)
+        assert store.get("g", P("2,1"), 8, "strict") == Record.from_line(
+            "g 2,1 8 strict 4 exact 1,2,4,8"
+        )
+        assert store.get("g", P("2,1"), 9, "strict") is None
+
+    def test_load_rejects_lower_bound_with_wave(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text(
+            "g 2,1 8 strict 4 exact 1,2,4,8\n"
+            "g 2,1 8 strict 3 lower-bound 1,3,4\n"
+        )
+        with pytest.raises(StoreError, match=r"cache.txt:2: .*wave"):
+            Store(path)
+
+    @pytest.mark.parametrize(
+        "line,field",
+        [
+            ("q 2,1 8 strict 4 exact 1,2,4,8", "kind must be 'g' or 'p', got 'q'"),
+            ("g 2,1 8 strict 4 guess 1,2,4,8", "status must be 'exact' or 'lower-bound'"),
+            ("g 2,1 8 loose 4 exact 1,2,4,8", "mode must be 'strict' or 'weak', got 'loose'"),
+        ],
+    )
+    def test_load_names_the_bad_field(self, tmp_path, line, field):
+        path = tmp_path / "cache.txt"
+        path.write_text("g 2,1 8 strict 4 exact 1,2,4,8\n" + line + "\n")
+        with pytest.raises(StoreError, match=r"cache.txt:2: bad record .*: " + field) as info:
+            Store(path)
+        assert "witness" not in str(info.value)
 
     def test_load_rejects_corrupt_witness(self, tmp_path):
         path = tmp_path / "cache.txt"
@@ -276,16 +311,19 @@ class TestShapeMemo:
             return wavelab.find_wave(*args)
 
         monkeypatch.setattr(store_module, "find_wave", counting_find_wave)
+        # an earlier test in this process may have searched the shape already
+        store_module._holds_wave.cache_clear()
         path = tmp_path / "cache.txt"
         store = Store(path)
-        store.put(Record.from_line("g 2,1 8 strict 4 exact 1,2,4,8"))
+        store.put(Record.from_line("g 2,1 5 strict 4 exact 1,2,3,5"))
         assert len(calls) == 1
-        store.put(Record.from_line("g 2,1 9 strict 4 lower-bound 2,3,5,9"))
+        store.put(Record.from_line("g 2,1 6 strict 4 exact 1,2,3,5"))
         assert len(calls) == 1
         assert len(path.read_text().splitlines()) == 2
-        # a new instance searches the shape once for both lines
-        assert Store(path).get("g", P("2,1"), 9, "strict").value == 4
-        assert len(calls) == 2
+        # the memo outlives the store: a new instance and a bare verify search nothing
+        assert Store(path).get("g", P("2,1"), 6, "strict").value == 4
+        Record.from_line("g 2,1 7 strict 4 exact 2,3,4,6").verify()
+        assert len(calls) == 1
 
 
 def _child_env():
